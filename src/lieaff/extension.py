@@ -59,8 +59,8 @@ def _next_name(names) -> str:
     return "t"
 
 
-def central_extend(algebra: LieAlgebra, theta: KForm) -> CentralExtension:
-    """Extend by the closed 2-form theta; the new last basis vector is central."""
+def _require_closed(algebra: LieAlgebra, theta: KForm) -> None:
+    """Raise ValueError unless theta is a closed 2-form on the algebra."""
     if theta.degree != 2 or theta.dim != algebra.dim:
         raise ValueError("need a 2-form on the algebra")
     defects = cocycle_defects(algebra, theta)
@@ -69,6 +69,11 @@ def central_extend(algebra: LieAlgebra, theta: KForm) -> CentralExtension:
             f"2-form is not closed (first defect at triple {defects[0][0]}); "
             "the extension would violate Jacobi"
         )
+
+
+def central_extend(algebra: LieAlgebra, theta: KForm) -> CentralExtension:
+    """Extend by the closed 2-form theta; the new last basis vector is central."""
+    _require_closed(algebra, theta)
     n = algebra.dim
     constants = {}
     for i in range(n):
@@ -702,9 +707,9 @@ def _solve_phi_system(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a)
 
 def _package_and_check(base, theta, nabla, a, solution, index):
     n = base.dim
-    ext = central_extend(base, theta)
     if solution.infeasible:
         return LiftSolveResult(False, -1, None, [], [], [])
+    ext = central_extend(base, theta)
     basis_vecs = solution.kernel
     particular = solution.particular
     points = []
@@ -745,6 +750,7 @@ def _package_and_check(base, theta, nabla, a, solution, index):
 
 def solve_lift_trivial(base: LieAlgebra, theta: KForm, nabla: BilinearProduct) -> LiftSolveResult:
     """Admissible phi for the trivial central form: every solution must be flat."""
+    _require_closed(base, theta)
     readback = defining_relation_defects(base, theta, nabla)
     if readback:
         raise ValueError(
@@ -766,6 +772,7 @@ def solve_lift_with_alpha(base: LieAlgebra, theta: KForm, nabla: BilinearProduct
     while the oracle refutes flatness are recorded as gap candidates, never
     dropped.
     """
+    _require_closed(base, theta)
     rep_ok, wit = is_one_dim_rep(base, a)
     if not rep_ok:
         raise ValueError(f"central form is not a representation; witness at pair {wit[0][0]}")

@@ -43,6 +43,8 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def dump_json(path: str, payload: dict) -> None:
@@ -176,6 +178,7 @@ def product_from_dict(data: dict, where: str = "product") -> BilinearProduct:
     table = {}
     for idx, item in enumerate(raw):
         loc = f"{where}.table[{idx}]"
+        _require(isinstance(item, dict), loc, "expected an object")
         i = _as_int(item.get("i"), f"{loc}.i")
         j = _as_int(item.get("j"), f"{loc}.j")
         _require(1 <= i <= dim and 1 <= j <= dim, loc, f"indices must lie in 1..{dim}")

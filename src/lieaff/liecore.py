@@ -21,7 +21,6 @@ from .ratlin import (
     Matrix,
     ONE,
     ZERO,
-    as_vector,
     echelon_basis,
     invert,
     is_zero_vector,
@@ -144,11 +143,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, v) -> bool:
-        before = echelon_basis(self.basis, self.ambient_dim)
-        after = echelon_basis(list(self.basis) + [as_vector(v)], self.ambient_dim)
-        return len(after) == len(before)
 
 
 @dataclass

@@ -2,10 +2,19 @@
 
 Everything downstream computes with fractions.Fraction: arbitrary precision,
 always stored normalized with a positive denominator, which is exactly the
-invariant the rest of the package relies on.  Matrices are dense and small
-(the largest systems are a few hundred unknowns from the lift solvers), so
-plain Gauss-Jordan elimination is used, with a deterministic pivot rule:
-the first nonzero entry in scan order.  No floating point anywhere.
+invariant the rest of the package relies on.  No floating point anywhere.
+
+Matrices are dense and small: the largest are the lift solvers' systems, a
+few hundred rows by a few dozen unknowns.  Elimination runs in Python ints,
+fraction-free: each row is scaled to integers by the lcm of its
+denominators, columns are cleared by cross-multiplication with each new row
+divided by the gcd of its entries, and only the pivot rows are turned back
+into Fractions, once, at the end.  The pivot rule is deterministic: the
+first nonzero entry in scan order.  Every integer row is a nonzero multiple
+of the row Gauss-Jordan elimination over Q would hold at the same step, so
+the pivots are the same, and since the reduced row echelon form is unique
+the pivot rows, hence kernels, particular solutions, ranks, inverses and
+echelon bases, are exactly those of elimination over Q.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Rational = Fraction
@@ -146,36 +156,72 @@ class Matrix:
         return out
 
 
-def _rref(work: list, limit: int) -> list:
-    """In-place reduced row echelon form over columns [0, limit).
+def _clear_column(work: list, k: int, c: int, targets) -> None:
+    """Clear column c of the integer rows work[i], i in targets, with pivot row k.
 
-    Pivot choice is the first nonzero entry scanning rows top-down within the
-    leftmost eligible column, so the result is deterministic.  Returns the
-    list of pivot columns.
+    Each row becomes p' * row - f' * lead, where p'/f' is the reduced ratio of
+    the pivot to the row's entry in column c, and is then divided by the gcd of
+    its entries.  The pivot row is zero left of c, so only its nonzero entries
+    right of c are visited.
     """
+    lead = work[k]
+    p = lead[c]
+    nonzero = [j for j in range(c + 1, len(lead)) if lead[j]]
+    for i in targets:
+        row = work[i]
+        f = row[c]
+        if not f:
+            continue
+        g = gcd(p, f)
+        scale, f = p // g, f // g
+        if scale != 1:
+            row = [scale * x for x in row]
+        row[c] = 0
+        for j in nonzero:
+            row[j] -= f * lead[j]
+        g = gcd(*row)
+        work[i] = [x // g for x in row] if g > 1 else row
+
+
+def _rref(work: list, limit: int) -> list:
+    """Reduced row echelon form over columns [0, limit), by integer elimination.
+
+    Each row is scaled to integers by the lcm of its denominators.  Forward
+    elimination picks as pivot the first nonzero entry scanning rows top-down
+    within the leftmost eligible column, so the result is deterministic, and
+    clears the column below it in integers; back-substitution clears it above
+    in the pivot rows only.  On return the first rank rows are the reduced
+    rows as Fractions, pivots normalized to 1, over every column of work
+    (columns from limit on are carried along, as for an augmented system).
+    Rows from rank on are nonzero integer multiples of what Gauss-Jordan
+    elimination over Q would leave there; only whether an entry is zero is
+    meaningful.  Returns the list of pivot columns.
+    """
+    m = len(work)
+    for i, row in enumerate(work):
+        den = lcm(*[x.denominator for x in row])
+        work[i] = [x.numerator * (den // x.denominator) for x in row]
     pivots = []
     r = 0
-    m = len(work)
     for c in range(limit):
         prow = None
         for i in range(r, m):
-            if work[i][c] != 0:
+            if work[i][c]:
                 prow = i
                 break
         if prow is None:
             continue
         work[r], work[prow] = work[prow], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        lead = work[r]
-        for i in range(m):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], lead)]
+        _clear_column(work, r, c, range(r + 1, m))
         pivots.append(c)
         r += 1
         if r == m:
             break
+    for k in range(r - 1, 0, -1):
+        _clear_column(work, k, pivots[k], range(k))
+    for k, c in enumerate(pivots):
+        p = work[k][c]
+        work[k] = [Fraction(x, p) for x in work[k]]
     return pivots
 
 

@@ -68,6 +68,14 @@ def test_check_parse_error_exit_2(capsys, tmp_path):
     assert "i < j" in err
 
 
+def test_check_non_utf8_file_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert "not UTF-8" in err
+
+
 def test_check_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/algebra.json")
     assert code == 2

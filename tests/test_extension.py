@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lieaff.catalog import contact_entries, get, symplectic_entries
 from lieaff.extension import (
     LiftData,
+    _solve_phi_system,
     build_lift,
     central_extend,
     curvature_expansions,
@@ -24,8 +25,14 @@ from lieaff.extension import (
     theorem_verdict,
 )
 from lieaff.liecore import KForm, quotient_by_center
-from lieaff.ratlin import Matrix, ONE, ZERO, is_zero_vector
-from lieaff.structures import affine_from_symplectic, contact_test, curvature
+from lieaff.ratlin import Matrix, ONE, ZERO, invert, is_zero_vector
+from lieaff.structures import (
+    BilinearProduct,
+    affine_from_symplectic,
+    contact_test,
+    curvature,
+    defining_relation_defects,
+)
 
 F = Fraction
 
@@ -393,6 +400,30 @@ def test_solve_lift_alpha_r4_is_infeasible():
     res = solve_lift_with_alpha(base, theta, nabla, [ONE, ZERO, ZERO, ZERO])
     assert not res.feasible
     assert res.points == [] and res.gap_candidates == []
+
+
+def test_solve_lift_rejects_nonclosed_form_on_infeasible_system():
+    # e12 + e34 is nondegenerate but not closed on n4.  The product solved
+    # from the defining relation passes the readback, and with a = (1,0,0,0)
+    # the phi system is infeasible, so the solver returns before it builds
+    # the extension: the closedness check must not depend on that build.
+    n4 = get("n4").algebra
+    theta = KForm(2, 4, {(0, 1): 1, (2, 3): 1})
+    a = [ONE, ZERO, ZERO, ZERO]
+    n = n4.dim
+    minv = invert(Matrix.from_rows([[theta.pair(q, k) for q in range(n)] for k in range(n)]))
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            rhs = [-sum((br_q * theta.pair(j, q) for q, br_q in enumerate(n4.bracket_basis(i, k))),
+                        ZERO)
+                   for k in range(n)]
+            table[(i, j)] = minv.mul_vec(rhs)
+    nabla = BilinearProduct(n, table)
+    assert defining_relation_defects(n4, theta, nabla) == []
+    assert _solve_phi_system(n4, theta, nabla, a)[0].infeasible
+    with pytest.raises(ValueError, match="not closed"):
+        solve_lift_with_alpha(n4, theta, nabla, a)
 
 
 def test_solver_points_satisfy_displayed_condition():

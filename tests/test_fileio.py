@@ -123,3 +123,9 @@ def test_invalid_json_reports_location(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(ParseError, match="line 1"):
         fileio.load_algebra(path)
+
+
+def test_rejects_non_object_product_row(tmp_path):
+    path = _write(tmp_path, {"dim": 2, "table": [["1", "2"]]})
+    with pytest.raises(ParseError, match=r"table\[0\]: expected an object"):
+        fileio.load_product(path)

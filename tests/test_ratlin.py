@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lieaff.ratlin import (
     Matrix,
+    _rref,
     echelon_basis,
     format_rational,
     invert,
@@ -140,6 +141,89 @@ def test_solvable_systems_solve_exactly(a, data):
         combo = vadd(combo, vscale(data.draw(rationals), v))
     assert a.mul_vec(combo) == b
     assert sol.rank + len(sol.kernel) == a.cols
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination against sympy's rref
+
+mixed_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-30, 30).map(Fraction),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+)
+
+
+@st.composite
+def shaped_matrices(draw, max_dim=7):
+    """Tall, wide and square matrices with zero rows and dependent rows mixed in."""
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.integers(1, max_dim))
+    rows = [[draw(mixed_rationals) for _ in range(c)] for _ in range(r)]
+    for i in range(1, r):
+        kind = draw(st.sampled_from(["keep", "zero", "combo"]))
+        if kind == "zero":
+            rows[i] = [Fraction(0)] * c
+        elif kind == "combo":
+            s, t = draw(mixed_rationals), draw(mixed_rationals)
+            j = draw(st.integers(0, i - 1))
+            rows[i] = [s * x + t * y for x, y in zip(rows[j], rows[i - 1])]
+    return Matrix.from_rows(rows)
+
+
+def _sympy(a, extra=None):
+    sympy = pytest.importorskip("sympy")
+    rows = a.to_rows()
+    if extra is not None:
+        rows = [row + [b] for row, b in zip(rows, extra)]
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in rows])
+
+
+def _fractions(rows):
+    return [[Fraction(int(x.p), int(x.q)) for x in row] for row in rows]
+
+
+@given(shaped_matrices())
+@settings(deadline=None, max_examples=60)
+def test_rref_matches_sympy(a):
+    reduced, sym_pivots = _sympy(a).rref()
+    work = a.to_rows()
+    pivots = _rref(work, a.cols)
+    assert tuple(pivots) == tuple(sym_pivots)
+    assert work[:len(pivots)] == _fractions(reduced.tolist()[:len(pivots)])
+    assert all(x == 0 for row in work[len(pivots):] for x in row)
+
+
+@given(shaped_matrices(), st.data())
+@settings(deadline=None, max_examples=60)
+def test_infeasible_exactly_when_augmented_rank_grows(a, data):
+    b = [data.draw(mixed_rationals) for _ in range(a.rows)]
+    sol = solve_linear(a, b)
+    rank_a = _sympy(a).rank()
+    assert sol.rank == rank_a
+    assert sol.infeasible == (_sympy(a, b).rank() > rank_a)
+    if not sol.infeasible:
+        assert a.mul_vec(sol.particular) == [Fraction(x) for x in b]
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(mixed_rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(deadline=None, max_examples=60)
+def test_invert_matches_sympy(rows):
+    a = Matrix.from_rows(rows)
+    m = _sympy(a)
+    if m.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            invert(a)
+    else:
+        assert invert(a).to_rows() == _fractions(m.inv().tolist())
+
+
+@given(shaped_matrices())
+@settings(deadline=None, max_examples=60)
+def test_echelon_basis_is_sympy_rref_rows(a):
+    reduced, pivots = _sympy(a).rref()
+    assert echelon_basis(a.to_rows(), a.cols) == _fractions(reduced.tolist()[:len(pivots)])
 
 
 @given(st.integers(-20, 20), st.integers(1, 20), st.integers(-20, 20), st.integers(1, 20))
