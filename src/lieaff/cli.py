@@ -3,8 +3,9 @@
 Exit codes mean exactly one thing each: 0 = the property the command
 evaluates is confirmed, 1 = refuted with exact witnesses printed, 2 = the
 inputs violate the command's contract (unreadable files, malformed data,
-wrong-shaped forms, preconditions).  All numeric output is exact rational
-text; no floating point appears anywhere.
+wrong-shaped forms, preconditions), 3 = internal error: an exception
+escaped a command, which is a bug and never a verdict.  All numeric output
+is exact rational text; no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .structures import (
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 MAX_WITNESS_LINES = 12
 
@@ -655,6 +657,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # A bug, not a verdict: exit 1 would read as "refuted".
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

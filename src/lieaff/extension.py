@@ -23,7 +23,6 @@ from typing import Optional
 from .liecore import KForm, LieAlgebra, cocycle_defects
 from .ratlin import (
     Matrix,
-    ONE,
     ZERO,
     is_zero_vector,
     kernel_basis,
@@ -39,6 +38,8 @@ from .structures import (
     contact_test,
     curvature,
     defining_relation_defects,
+    integer_columns,
+    integer_gram,
     symplectic_check,
     verify_affine,
 )
@@ -659,50 +660,52 @@ def _solve_phi_system(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a)
         phi(e_i, nabla(e_j,e_k)) - phi(e_j, nabla(e_i,e_k)) - phi([e_i,e_j], e_k)
         + a_i phi(e_j,e_k) - a_j phi(e_i,e_k) - a_k theta(e_i,e_j) = 0
     which is linear in phi = s + theta/2 once a is fixed.
+
+    The rows are assembled in Python ints.  nabla, the bracket constants and a
+    are scaled by their common denominator D, theta by its denominator E
+    (integer_columns, integer_gram); every condition multiplied by 2*D*E then
+    has integer coefficients and an integer right-hand side.  Scaling a row by
+    a nonzero constant changes neither the solution set nor the reduced row
+    echelon form, so the particular solution, the kernel, the rank and the
+    infeasibility verdict are exactly those of the unscaled system.
     """
     n = base.dim
-    a = [Fraction(x) for x in a]
-    half = Fraction(1, 2)
+    brackets, products, a, _ = integer_columns(base, nabla, [Fraction(x) for x in a])
+    gram, e = integer_gram(theta)
+    two_e = 2 * e
     pairs, index = _sym_index(n)
+    # column of the unknown s[x][q] = s[q][x]
+    col = [[index[(min(x, q), max(x, q))] for q in range(n)] for x in range(n)]
 
-    rows = []
+    entries = []
     rhs = []
     for i in range(n):
+        col_i, gram_i, a_i = col[i], gram[i], a[i]
         for j in range(i + 1, n):
-            br = base.bracket_basis(i, j)
-            tij = theta.pair(i, j)
+            col_j, gram_j, a_j = col[j], gram[j], a[j]
             for k in range(n):
-                coeffs = [ZERO] * len(pairs)
-                const = ZERO
-
-                def add_phi(mult, x_idx, vec):
-                    # accumulate mult * phi(e_x, vec) = mult * sum_q vec_q phi[x][q]
-                    # with phi[x][q] = s[x][q] + theta(x, q)/2
-                    nonlocal_const = ZERO
-                    for q, vq in enumerate(vec):
-                        if vq:
-                            coeffs[index[(min(x_idx, q), max(x_idx, q))]] += mult * vq
-                            nonlocal_const += mult * vq * half * theta.pair(x_idx, q)
-                    return nonlocal_const
-
-                const += add_phi(ONE, i, nabla.value(j, k))
-                const += add_phi(-ONE, j, nabla.value(i, k))
-                for p, bp in enumerate(br):
-                    if bp:
-                        coeffs[index[(min(p, k), max(p, k))]] += -bp
-                        const += -bp * half * theta.pair(p, k)
-                if a[i]:
-                    coeffs[index[(min(j, k), max(j, k))]] += a[i]
-                    const += a[i] * half * theta.pair(j, k)
-                if a[j]:
-                    coeffs[index[(min(i, k), max(i, k))]] += -a[j]
-                    const += -a[j] * half * theta.pair(i, k)
-                const += -a[k] * tij
-
-                rows.append(coeffs)
+                coeffs = [0] * len(pairs)
+                const = -2 * a[k] * gram_i[j]
+                for q, v in products[j][k]:
+                    coeffs[col_i[q]] += v
+                    const += v * gram_i[q]
+                for q, v in products[i][k]:
+                    coeffs[col_j[q]] -= v
+                    const -= v * gram_j[q]
+                for p, v in brackets[i][j]:
+                    coeffs[col[p][k]] -= v
+                    const -= v * gram[p][k]
+                if a_i:
+                    coeffs[col_j[k]] += a_i
+                    const += a_i * gram_j[k]
+                if a_j:
+                    coeffs[col_i[k]] -= a_j
+                    const -= a_j * gram_i[k]
+                entries.extend(two_e * c for c in coeffs)
                 rhs.append(-const)
 
-    return solve_linear(Matrix.from_rows(rows, cols=len(pairs)), rhs), pairs, index
+    system = Matrix(len(rhs), len(pairs), tuple(entries))
+    return solve_linear(system, rhs), pairs, index
 
 
 def _package_and_check(base, theta, nabla, a, solution, index):

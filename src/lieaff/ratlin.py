@@ -5,16 +5,21 @@ always stored normalized with a positive denominator, which is exactly the
 invariant the rest of the package relies on.  No floating point anywhere.
 
 Matrices are dense and small: the largest are the lift solvers' systems, a
-few hundred rows by a few dozen unknowns.  Elimination runs in Python ints,
-fraction-free: each row is scaled to integers by the lcm of its
-denominators, columns are cleared by cross-multiplication with each new row
-divided by the gcd of its entries, and only the pivot rows are turned back
-into Fractions, once, at the end.  The pivot rule is deterministic: the
-first nonzero entry in scan order.  Every integer row is a nonzero multiple
-of the row Gauss-Jordan elimination over Q would hold at the same step, so
-the pivots are the same, and since the reduced row echelon form is unique
-the pivot rows, hence kernels, particular solutions, ranks, inverses and
-echelon bases, are exactly those of elimination over Q.
+few hundred rows by a few dozen unknowns.  Their entries are Fractions or
+Python ints, freely mixed: the solvers (solve_linear, kernel_basis, rank,
+invert, echelon_basis) accept both, in the matrix and in a right-hand side,
+and always return Fractions.  A caller that has already scaled its rows to
+integers builds the Matrix from them directly and skips the conversion.
+Elimination runs in Python ints, fraction-free: each row is scaled to
+integers by the lcm of its denominators (scale_to_integers), columns are
+cleared by cross-multiplication with each new row divided by the gcd of its
+entries, and only the pivot rows are turned back into Fractions, once, at
+the end.  The pivot rule is deterministic: the first nonzero entry in scan
+order.  Every integer row is a nonzero multiple of the row Gauss-Jordan
+elimination over Q would hold at the same step, so the pivots are the same,
+and since the reduced row echelon form is unique the pivot rows, hence
+kernels, particular solutions, ranks, inverses and echelon bases, are
+exactly those of elimination over Q.
 """
 
 from __future__ import annotations
@@ -87,9 +92,29 @@ def is_zero_vector(u) -> bool:
 # ---------------------------------------------------------------------------
 # matrices
 
+def scale_to_integers(values, den: Optional[int] = None) -> tuple:
+    """(ints, den): the rationals in values times den, as Python ints.
+
+    den defaults to the lcm of their denominators; a given den must be a
+    multiple of each of them.  Accepts Fractions and ints; a list of ints
+    with no den given comes back as a copy, without a pass of arithmetic.
+    """
+    if den is None:
+        if all(type(x) is int for x in values):
+            return list(values), 1
+        den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Dense row-major matrix of Fractions."""
+    """Dense row-major matrix of exact rationals.
+
+    The constructors from_rows, from_columns, zeros and identity store
+    Fractions.  Matrix(rows, cols, entries) stores the entries as given, which
+    may be Fractions or Python ints; the solvers accept either and return
+    Fractions.
+    """
 
     rows: int
     cols: int
@@ -186,21 +211,20 @@ def _clear_column(work: list, k: int, c: int, targets) -> None:
 def _rref(work: list, limit: int) -> list:
     """Reduced row echelon form over columns [0, limit), by integer elimination.
 
-    Each row is scaled to integers by the lcm of its denominators.  Forward
-    elimination picks as pivot the first nonzero entry scanning rows top-down
-    within the leftmost eligible column, so the result is deterministic, and
-    clears the column below it in integers; back-substitution clears it above
-    in the pivot rows only.  On return the first rank rows are the reduced
-    rows as Fractions, pivots normalized to 1, over every column of work
-    (columns from limit on are carried along, as for an augmented system).
-    Rows from rank on are nonzero integer multiples of what Gauss-Jordan
-    elimination over Q would leave there; only whether an entry is zero is
-    meaningful.  Returns the list of pivot columns.
+    Each row, of Fractions or ints, is scaled to integers by the lcm of its
+    denominators.  Forward elimination picks as pivot the first nonzero entry
+    scanning rows top-down within the leftmost eligible column, so the result
+    is deterministic, and clears the column below it in integers;
+    back-substitution clears it above in the pivot rows only.  On return the
+    first rank rows are the reduced rows as Fractions, pivots normalized to 1,
+    over every column of work (columns from limit on are carried along, as for
+    an augmented system).  Rows from rank on are nonzero integer multiples of
+    what Gauss-Jordan elimination over Q would leave there; only whether an
+    entry is zero is meaningful.  Returns the list of pivot columns.
     """
     m = len(work)
     for i, row in enumerate(work):
-        den = lcm(*[x.denominator for x in row])
-        work[i] = [x.numerator * (den // x.denominator) for x in row]
+        work[i] = scale_to_integers(row)[0]
     pivots = []
     r = 0
     for c in range(limit):
@@ -257,9 +281,10 @@ class LinearSolution:
 
 
 def solve_linear(a: Matrix, b: Sequence) -> LinearSolution:
+    """Solve a x = b exactly; entries of a and b are Fractions or ints."""
     if a.rows != len(b):
         raise ValueError(f"dimension mismatch: {a.rows} rows vs {len(b)} right-hand entries")
-    work = [a.row(i) + [Fraction(b[i])] for i in range(a.rows)]
+    work = [a.row(i) + [b[i]] for i in range(a.rows)]
     pivots = _rref(work, a.cols)
     rk = len(pivots)
     kernel = _kernel_from_rref(work, pivots, a.cols)

@@ -24,6 +24,7 @@ from .ratlin import (
     invert,
     is_zero_vector,
     rank as matrix_rank,
+    scale_to_integers,
     vsub,
     vzero,
 )
@@ -301,20 +302,74 @@ def verify_affine(algebra: LieAlgebra, product: BilinearProduct) -> AffineReport
     return AffineReport(sorted(torsion), sorted(curv))
 
 
+def integer_gram(theta: KForm) -> tuple:
+    """(G, E): E is the lcm of theta's denominators, G[i][j] = E * theta(e_i, e_j) in ints."""
+    n = theta.dim
+    ints, den = scale_to_integers(gram_matrix(theta).entries)
+    return [ints[i * n:(i + 1) * n] for i in range(n)], den
+
+
+def integer_columns(algebra: LieAlgebra, product: BilinearProduct, extra=()) -> tuple:
+    """Bracket and product columns as sparse ints over one common denominator.
+
+    Returns (brackets, products, extra_ints, D), where D is the lcm of the
+    denominators of the structure constants, the product entries and the
+    rationals in extra.  brackets[i][j] and products[i][j] list the pairs
+    (k, D * c) over the nonzero entries c of [e_i, e_j] and prod(e_i, e_j),
+    for every ordered pair (i, j); extra_ints is extra times D.
+    """
+    n = algebra.dim
+    if product.dim != n:
+        raise ValueError("product dimension does not match algebra")
+    constants = sorted(algebra.constants.items())
+    table = sorted(product.table.items())
+    extra = list(extra)
+    _, den = scale_to_integers(
+        [c for _, terms in constants for c in terms.values()]
+        + [x for _, col in table for x in col] + extra
+    )
+
+    def sparse(keys, values):
+        return [(k, v) for k, v in zip(keys, scale_to_integers(values, den)[0]) if v]
+
+    brackets = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j), terms in constants:
+        keys = sorted(terms)
+        brackets[i][j] = sparse(keys, [terms[k] for k in keys])
+        brackets[j][i] = [(k, -v) for k, v in brackets[i][j]]
+    products = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j), col in table:
+        products[i][j] = sparse(range(n), col)
+    return brackets, products, scale_to_integers(extra, den)[0], den
+
+
 def defining_relation_defects(algebra: LieAlgebra, theta: KForm,
                               product: BilinearProduct) -> list:
-    """Readback of theta(prod(e_i, e_j), e_k) + theta(e_j, [e_i, e_k]) over all triples."""
+    """Readback of theta(prod(e_i, e_j), e_k) + theta(e_j, [e_i, e_k]) over all triples.
+
+    Evaluated in ints: with the product and the bracket over their common
+    denominator D (integer_columns) and theta over its denominator E
+    (integer_gram), each value times D * E is an integer.  Only the nonzero
+    ones become Fractions, so witnesses and values are exact.
+    """
     n = algebra.dim
+    if theta.degree != 2 or theta.dim != n:
+        raise ValueError("need a 2-form on the algebra")
+    brackets, products, _, d = integer_columns(algebra, product)
+    gram, e = integer_gram(theta)
     out = []
     for i in range(n):
+        bracket_i = brackets[i]
         for j in range(n):
-            pv = product.value(i, j)
+            gram_j = gram[j]
+            left = [0] * n
+            for q, v in products[i][j]:
+                for k, g in enumerate(gram[q]):
+                    left[k] += v * g
             for k in range(n):
-                br = algebra.bracket_basis(i, k)
-                val = sum((pv[q] * theta.pair(q, k) for q in range(n) if pv[q]), ZERO)
-                val += sum((br[q] * theta.pair(j, q) for q in range(n) if br[q]), ZERO)
+                val = left[k] + sum(v * gram_j[q] for q, v in bracket_i[k])
                 if val:
-                    out.append(((i, j, k), val))
+                    out.append(((i, j, k), Fraction(val, d * e)))
     return out
 
 

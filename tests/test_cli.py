@@ -11,7 +11,7 @@ from lieaff import fileio
 from lieaff.catalog import entries, get
 from lieaff.cli import main
 from lieaff.extension import LiftData
-from lieaff.liecore import KForm
+from lieaff.liecore import KForm, LieAlgebra
 
 FLOAT_RE = re.compile(r"\d\.\d")
 
@@ -79,6 +79,20 @@ def test_check_non_utf8_file_exit_2(capsys, tmp_path):
 def test_check_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/algebra.json")
     assert code == 2
+
+
+def test_escaped_exception_exits_3_not_refuted(capsys, tmp_path):
+    # The contact test of a dimension-11 algebra still raises inside the
+    # command (the wedge evaluation stops at dimension 9).
+    h11 = LieAlgebra(dim=11, constants={(2 * m, 2 * m + 1): {10: 1} for m in range(5)})
+    algebra, form = tmp_path / "h11.json", tmp_path / "e11.json"
+    fileio.save_algebra(algebra, h11)
+    fileio.save_form(form, KForm.dual(11, 10))
+    code, out, err = run(capsys, "contact", str(algebra), "--form", str(form))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ValueError: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_contact_form_yes(capsys, files):

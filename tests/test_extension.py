@@ -25,7 +25,7 @@ from lieaff.extension import (
     theorem_verdict,
 )
 from lieaff.liecore import KForm, quotient_by_center
-from lieaff.ratlin import Matrix, ONE, ZERO, invert, is_zero_vector
+from lieaff.ratlin import Matrix, ONE, ZERO, invert, is_zero_vector, solve_linear
 from lieaff.structures import (
     BilinearProduct,
     affine_from_symplectic,
@@ -424,6 +424,95 @@ def test_solve_lift_rejects_nonclosed_form_on_infeasible_system():
     assert _solve_phi_system(n4, theta, nabla, a)[0].infeasible
     with pytest.raises(ValueError, match="not closed"):
         solve_lift_with_alpha(n4, theta, nabla, a)
+
+
+def _solve_phi_system_reference(base, theta, nabla, a):
+    """The phi system assembled in Fractions: the reference for the integer assembly."""
+    n = base.dim
+    a = [Fraction(x) for x in a]
+    half = Fraction(1, 2)
+    pairs = [(p, q) for p in range(n) for q in range(p, n)]
+    index = {pq: t for t, pq in enumerate(pairs)}
+
+    def sym(x, q):
+        return index[(min(x, q), max(x, q))]
+
+    rows = []
+    rhs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = base.bracket_basis(i, j)
+            for k in range(n):
+                coeffs = [ZERO] * len(pairs)
+                const = -a[k] * theta.pair(i, j)
+                for mult, x, vec in ((ONE, i, nabla.value(j, k)), (-ONE, j, nabla.value(i, k))):
+                    for q, vq in enumerate(vec):
+                        if vq:
+                            coeffs[sym(x, q)] += mult * vq
+                            const += mult * vq * half * theta.pair(x, q)
+                for p, bp in enumerate(br):
+                    if bp:
+                        coeffs[sym(p, k)] -= bp
+                        const -= bp * half * theta.pair(p, k)
+                coeffs[sym(j, k)] += a[i]
+                const += a[i] * half * theta.pair(j, k)
+                coeffs[sym(i, k)] -= a[j]
+                const -= a[j] * half * theta.pair(i, k)
+                rows.append(coeffs)
+                rhs.append(-const)
+    return solve_linear(Matrix.from_rows(rows, cols=len(pairs)), rhs)
+
+
+def _assert_phi_system_matches_reference(base, theta, nabla, a):
+    got = _solve_phi_system(base, theta, nabla, a)[0]
+    want = _solve_phi_system_reference(base, theta, nabla, a)
+    assert got.infeasible == want.infeasible
+    assert got.rank == want.rank
+    assert got.particular == want.particular
+    assert got.kernel == want.kernel
+    # the outputs are rendered downstream, where an int prints unlike a Fraction
+    entries = (got.particular or []) + [x for v in got.kernel for x in v]
+    assert all(type(x) is Fraction for x in entries)
+    return got
+
+
+THETA_SCALES = (F(1), F(2, 3), F(-5, 7))
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@pytest.mark.parametrize("scale", THETA_SCALES)
+def test_integer_phi_system_known_cases(scale):
+    cases = (
+        ("r2", [0, 0], True),
+        ("n4", [0, 0, 0, 0], True),
+        ("r2", [1, 0], True),           # the gap family
+        ("r4", [1, 0, 0, 0], False),
+    )
+    for name, a, feasible in cases:
+        e = get(name)
+        theta = e.symplectic_form.scaled(scale)
+        nabla = affine_from_symplectic(e.algebra, theta)
+        got = _assert_phi_system_matches_reference(e.algebra, theta, nabla, a)
+        assert got.infeasible != feasible, (name, a)
+
+
+@pytest.mark.parametrize("name", [e.name for e in symplectic_entries()])
+@pytest.mark.parametrize("scale", THETA_SCALES)
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_integer_phi_system_matches_fraction_reference(name, scale, data):
+    e = get(name)
+    n = e.algebra.dim
+    theta = e.symplectic_form.scaled(scale)
+    table = dict(affine_from_symplectic(e.algebra, theta).table)
+    # perturbed products put denominators into nabla and make most systems infeasible
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        col = list(table.get((i, j), [ZERO] * n))
+        col[data.draw(st.integers(0, n - 1))] += data.draw(small_rationals)
+        table[(i, j)] = col
+    a = data.draw(st.lists(small_rationals, min_size=n, max_size=n))
+    _assert_phi_system_matches_reference(e.algebra, theta, BilinearProduct(n, table), a)
 
 
 def test_solver_points_satisfy_displayed_condition():

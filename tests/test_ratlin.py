@@ -15,6 +15,7 @@ from lieaff.ratlin import (
     kernel_basis,
     parse_rational,
     rank,
+    scale_to_integers,
     solve_linear,
     vadd,
     vscale,
@@ -233,3 +234,22 @@ def test_two_way_addition_identical(a, b, c, d):
     assert common == cross
     assert common.denominator > 0
     assert gcd(abs(common.numerator), common.denominator) == 1
+
+
+@given(shaped_matrices(), st.data())
+@settings(deadline=None, max_examples=60)
+def test_integer_rows_solve_like_fraction_rows(a, data):
+    # each augmented row scaled to ints and by a further nonzero factor, as the
+    # lift solver's assembly does: same solution, rank and verdict, as Fractions
+    b = [data.draw(mixed_rationals) for _ in range(a.rows)]
+    entries, rhs = [], []
+    for row, bi in zip(a.to_rows(), b):
+        ints, _ = scale_to_integers(row + [bi])
+        factor = data.draw(st.integers(1, 12)) * data.draw(st.sampled_from([1, -1]))
+        entries += [factor * x for x in ints[:-1]]
+        rhs.append(factor * ints[-1])
+    got = solve_linear(Matrix(a.rows, a.cols, tuple(entries)), rhs)
+    want = solve_linear(a, b)
+    assert (got.particular, got.kernel, got.rank) == (want.particular, want.kernel, want.rank)
+    outputs = (got.particular or []) + [x for v in got.kernel for x in v]
+    assert all(type(x) is Fraction for x in outputs)

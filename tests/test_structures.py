@@ -213,6 +213,49 @@ def test_affine_from_symplectic_n4_table():
     assert defining_relation_defects(e.algebra, e.symplectic_form, nabla) == []
 
 
+def _readback_reference(algebra, theta, product):
+    """The defining relation evaluated in Fractions: the reference for the integer readback."""
+    n = algebra.dim
+    out = []
+    for i in range(n):
+        for j in range(n):
+            pv = product.value(i, j)
+            for k in range(n):
+                br = algebra.bracket_basis(i, k)
+                val = sum((pv[q] * theta.pair(q, k) for q in range(n)), Fraction(0))
+                val += sum((br[q] * theta.pair(j, q) for q in range(n)), Fraction(0))
+                if val:
+                    out.append(((i, j, k), val))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_readback_matches_fraction_reference(data):
+    # symplectic bases start from their canonical product (no defects);
+    # the others get a random 2-form and start from the zero product
+    e = get(data.draw(st.sampled_from(["r2", "r4", "n4", "h3", "h5", "n4ext"])))
+    n = e.algebra.dim
+    scale = data.draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(-5, 7)]))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    if e.symplectic_form is not None:
+        theta = e.symplectic_form.scaled(scale)
+        table = dict(affine_from_symplectic(e.algebra, theta).table)
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        theta = KForm(2, n, {pq: data.draw(small) for pq in pairs}).scaled(scale)
+        table = {}
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        col = list(table.get((i, j), [Fraction(0)] * n))
+        col[data.draw(st.integers(0, n - 1))] += data.draw(small)
+        table[(i, j)] = col
+    product = BilinearProduct(n, table)
+    got = defining_relation_defects(e.algebra, theta, product)
+    assert got == _readback_reference(e.algebra, theta, product)
+    assert all(type(val) is Fraction for _, val in got)
+
+
 def test_affine_from_symplectic_rejects_bad_forms():
     n4 = get("n4").algebra
     with pytest.raises(ValueError):
