@@ -370,20 +370,21 @@ def cmd_extend(args) -> int:
     return EXIT_OK if report.is_contact else EXIT_REFUTED
 
 
-def _witness_dict(w):
-    # index-tuple witnesses carry a residual value; component tags like
-    # ("V", i), ("W0",), ("rho",) do not
-    if isinstance(w, tuple) and w and isinstance(w[0], tuple):
-        return {"at": list(one_based(w[0])), "value": defect_value_render(w[1])}
-    if w and w[0] == "V":
-        return {"at": ["V", w[1] + 1], "value": None}
-    return {"at": [str(x) for x in w], "value": None}
+def _condition_witness(w):
+    """(at, value), 1-based: an index tuple with its rendered residual, or a
+    component tag ("V", i), ("W0",), ("rho",) with None."""
+    if isinstance(w[0], tuple):
+        return list(one_based(w[0])), defect_value_render(w[1])
+    if w[0] == "V":
+        return ["V", w[1] + 1], None
+    return [w[0]], None
 
 
 def _condition_payload(verdict):
     return [
         {"name": c.name, "passed": c.passed,
-         "witnesses": [_witness_dict(w) for w in c.witnesses]}
+         "witnesses": [{"at": at, "value": value}
+                       for at, value in map(_condition_witness, c.witnesses)]}
         for c in verdict.conditions
     ]
 
@@ -393,7 +394,7 @@ def _print_verdict(verdict):
     for c in verdict.conditions:
         print(f"condition {c.name}: {'pass' if c.passed else 'FAIL'}")
         if not c.passed:
-            print_witnesses(c.witnesses, lambda w: _render_condition_witness(w))
+            print_witnesses(c.witnesses, _render_condition_witness)
     print(f"auxiliary product rule a(nabla(x,y)) = a(x)a(y): "
           f"{'holds' if verdict.aux_product_rule_holds else 'FAILS'}")
     if not verdict.aux_product_rule_holds:
@@ -410,13 +411,10 @@ def _print_verdict(verdict):
 
 
 def _render_condition_witness(w):
-    if isinstance(w, tuple) and w and isinstance(w[0], tuple):
-        return f"{one_based(w[0])}: {defect_value_render(w[1]) if len(w) > 1 else ''}"
-    if isinstance(w, tuple) and w and w[0] in ("V", "W0", "rho"):
-        if w[0] == "V":
-            return f"V_{w[1] + 1} != 0"
-        return f"{w[0]} != 0"
-    return str(w)
+    at, value = _condition_witness(w)
+    if value is None:
+        return "_".join(str(x) for x in at) + " != 0"
+    return f"{tuple(at)}: {value}"
 
 
 def cmd_lift(args) -> int:

@@ -11,11 +11,26 @@ with V_x and a_x linear in x.  Ground truth for "is this an affine structure"
 is always the brute-force torsion/curvature scan on the extension; the
 two-case characterization conditions are evaluated as a layer on top and any
 disagreement is surfaced as a named finding, never reconciled silently.
+
+Both cases rest on one per-triple condition on phi, for a central form a:
+
+    C_a(x, y, z) = phi(x, nabla(y,z)) - phi(y, nabla(x,z)) - phi([x,y], z)
+                   + a(x) phi(y,z) - a(y) phi(x,z) - a(z) theta(x,y).
+
+_phi_condition_operator assembles it once, as integer rows over the entries
+of phi, and has three uses: the verdict's trivial case reads the nonzero
+values at the lift's phi (a = 0, "vinberg-two-cocycle"); its nontrivial case
+contracts those values with pairs of kernel vectors of a, where the a(x) and
+a(y) terms vanish ("kernel-twisted-two-cocycle"); and the lift solvers fold
+the rows onto the symmetric part of phi = theta/2 + s and solve for s.  The
+values are also the central part of the curvature on base triples, which
+curvature_expansions checks against the built product.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -26,6 +41,7 @@ from .ratlin import (
     ZERO,
     is_zero_vector,
     kernel_basis,
+    scale_to_integers,
     solve_linear,
     vadd,
     vscale,
@@ -41,6 +57,7 @@ from .structures import (
     integer_columns,
     integer_gram,
     symplectic_check,
+    torsion_defects,
     verify_affine,
 )
 
@@ -53,11 +70,16 @@ class CentralExtension:
 
 
 def _next_name(names) -> str:
-    import re
-
+    """e{n+1} for a basis of e-names, t otherwise; t1, t2, ... when that name is taken."""
     if all(re.fullmatch(r"e\d+", s) for s in names):
-        return f"e{len(names) + 1}"
-    return "t"
+        name = f"e{len(names) + 1}"
+    else:
+        name = "t"
+    suffix = 0
+    while name in names:
+        suffix += 1
+        name = f"t{suffix}"
+    return name
 
 
 def _require_closed(algebra: LieAlgebra, theta: KForm) -> None:
@@ -200,25 +222,44 @@ def lift_report(ext: CentralExtension, nabla: BilinearProduct, lift: LiftData) -
     return verify_affine(ext.extended, build_lift(ext, nabla, lift))
 
 
-def lift_torsion_defects(ext: CentralExtension, nabla: BilinearProduct, lift: LiftData) -> list:
-    """Empty iff nabla has torsion equal to the base bracket and phi - phi^T = theta.
+# ---------------------------------------------------------------------------
+# the per-triple condition on phi
 
-    The V, a, W0, rho contributions cancel identically because the lift is
-    symmetric in its central arguments by construction.
+def _phi_condition_operator(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a):
+    """C_a(e_i, e_j, e_k) for i < j and all k, as integer rows over the entries of phi.
+
+    Returns (terms, den).  terms lists ((i, j, k), row, const) in scan order;
+    row holds (x * n + q, r) pairs, a position possibly more than once, with
+        C_a(e_i, e_j, e_k) = (sum of r * phi[x][q] over the row + const) / den.
+    nabla, the bracket constants and a are scaled by their common denominator
+    D (integer_columns), theta by its denominator E (integer_gram); den = D * E
+    and every coefficient r is a multiple of E.
     """
-    prod = build_lift(ext, nabla, lift)
-    extended = ext.extended
-    out = []
-    for i in range(extended.dim):
-        for j in range(i + 1, extended.dim):
-            d = vsub(vsub(prod.value(i, j), prod.value(j, i)), extended.bracket_basis(i, j))
-            if not is_zero_vector(d):
-                out.append(((i, j), d))
-    return out
+    n = base.dim
+    brackets, products, a, d = integer_columns(base, nabla, [Fraction(x) for x in a])
+    gram, e = integer_gram(theta)
+    terms = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                row = [(i * n + q, e * v) for q, v in products[j][k]]
+                row += [(j * n + q, -e * v) for q, v in products[i][k]]
+                row += [(p * n + k, -e * v) for p, v in brackets[i][j]]
+                if a[i]:
+                    row.append((j * n + k, e * a[i]))
+                if a[j]:
+                    row.append((i * n + k, -e * a[j]))
+                terms.append(((i, j, k), row, -a[k] * gram[i][j]))
+    return terms, d * e
 
 
-def lift_curvature_defects(ext: CentralExtension, nabla: BilinearProduct, lift: LiftData) -> list:
-    return lift_report(ext, nabla, lift).curvature_defects
+def _phi_condition_values(base: LieAlgebra, theta: KForm, nabla: BilinearProduct,
+                          lift: LiftData) -> tuple:
+    """({(i, j, k): v}, den): C_a at the lift's phi and a is v / den, in scan order."""
+    terms, den = _phi_condition_operator(base, theta, nabla, lift.a)
+    phi, f = scale_to_integers([x for row in lift.phi for x in row])
+    values = {t: sum(r * phi[x] for x, r in row) + const * f for t, row, const in terms}
+    return values, den * f
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +303,7 @@ def curvature_expansions(ext: CentralExtension, nabla: BilinearProduct,
     def direct(u, v, w):
         return curvature(extended, prod, u, v, w)
 
+    phi_conditions, den = _phi_condition_values(base, theta, nabla, lift)
     base_triples = {}
     for i in range(n):
         ei = base.basis_vector(i)
@@ -269,25 +311,12 @@ def curvature_expansions(ext: CentralExtension, nabla: BilinearProduct,
             ej = base.basis_vector(j)
             for k in range(n):
                 ek = base.basis_vector(k)
-                base_c = curvature(base, nabla, ei, ej, ek)
-                njk = nabla.value(j, k)
-                nik = nabla.value(i, k)
-                phi_jk = lift.phi[j][k]
-                phi_ik = lift.phi[i][k]
-                theta_ij = theta.pair(i, j)
-                vec = list(base_c)
-                vec = vadd(vec, vscale(phi_jk, list(lift.V[i])))
-                vec = vsub(vec, vscale(phi_ik, list(lift.V[j])))
-                vec = vsub(vec, vscale(theta_ij, list(lift.V[k])))
-                central_part = (
-                    lift.phi_of(ei, njk)
-                    - lift.phi_of(ej, nik)
-                    - lift.phi_of(base.bracket_basis(i, j), ek)
-                    + phi_jk * lift.a[i]
-                    - phi_ik * lift.a[j]
-                    - theta_ij * lift.a[k]
-                )
-                value = vec + [central_part]
+                vec = list(curvature(base, nabla, ei, ej, ek))
+                vec = vadd(vec, vscale(lift.phi[j][k], list(lift.V[i])))
+                vec = vsub(vec, vscale(lift.phi[i][k], list(lift.V[j])))
+                vec = vsub(vec, vscale(theta.pair(i, j), list(lift.V[k])))
+                # the central part is the per-triple condition C_a(e_i, e_j, e_k)
+                value = vec + [Fraction(phi_conditions[(i, j, k)], den)]
                 got = direct(embed(ei), embed(ej), embed(ek))
                 if value != got:
                     raise RuntimeError(
@@ -345,7 +374,7 @@ def curvature_expansions(ext: CentralExtension, nabla: BilinearProduct,
                 "mixed-central values vanish"
             )
 
-    if not lift_torsion_defects(ext, nabla, lift):
+    if not torsion_defects(extended, prod):
         for (i, j), v in central_slot.items():
             expect = vsub(mixed_central[(i, j)], mixed_central[(j, i)])
             if v != expect:
@@ -356,31 +385,6 @@ def curvature_expansions(ext: CentralExtension, nabla: BilinearProduct,
     return ExpansionReport(base_triples, mixed_central, double_central)
 
 
-def necessary_v_residuals(ext: CentralExtension, lift: LiftData) -> list:
-    """Residuals phi(e_j,e_k) V_i - phi(e_i,e_k) V_j - theta(e_i,e_j) V_k.
-
-    Nonempty means the lift data cannot give a flat product.  The expression
-    is antisymmetric in (i, j), so pairs are scanned with i < j.
-    """
-    theta = ext.cocycle
-    n = ext.base.dim
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            tij = theta.pair(i, j)
-            for k in range(n):
-                r = vsub(
-                    vsub(
-                        vscale(lift.phi[j][k], list(lift.V[i])),
-                        vscale(lift.phi[i][k], list(lift.V[j])),
-                    ),
-                    vscale(tij, list(lift.V[k])),
-                )
-                if not is_zero_vector(r):
-                    out.append(((i, j, k), r))
-    return out
-
-
 def half_case_residuals(algebra: LieAlgebra, theta: KForm, V, a):
     """The two relations of the phi = theta/2 case, over all basis triples.
 
@@ -388,6 +392,9 @@ def half_case_residuals(algebra: LieAlgebra, theta: KForm, V, a):
                  - theta(e_i,e_j) V_k  (vector residuals)
     Second list: theta([e_i,e_j],e_k) + theta(e_j,e_k) a_i
                  - theta(e_i,e_k) a_j - 2 theta(e_i,e_j) a_k  (scalars)
+    A first-list residual is the vector part of the lift's curvature on that
+    base triple (the canonical nabla is flat), so a nonempty first list rules
+    out flatness.
     """
     n = algebra.dim
     if theta.degree != 2 or theta.dim != n:
@@ -472,27 +479,14 @@ class Verdict:
         return self.case != CASE_NOT_APPLICABLE and not self.violated
 
 
-def _vinberg_cocycle_witnesses(base: LieAlgebra, nabla: BilinearProduct, lift: LiftData,
-                               rhs=None) -> list:
-    """Witnesses of phi(x, nabla(y,z)) - phi(y, nabla(x,z)) - phi([x,y],z) = rhs(x,y,z)."""
-    n = base.dim
-    out = []
-    for i in range(n):
-        ei = base.basis_vector(i)
-        for j in range(i + 1, n):
-            ej = base.basis_vector(j)
-            for k in range(n):
-                ek = base.basis_vector(k)
-                val = (
-                    lift.phi_of(ei, nabla.value(j, k))
-                    - lift.phi_of(ej, nabla.value(i, k))
-                    - lift.phi_of(base.bracket_basis(i, j), ek)
-                )
-                if rhs is not None:
-                    val -= rhs(i, j, k)
-                if val:
-                    out.append(((i, j, k), val))
-    return out
+def _nonzero_central_parts(lift: LiftData) -> list:
+    """Tags ("V", i), ("W0",), ("rho",) of the central parts of the lift that are nonzero."""
+    tags = [("V", i) for i, col in enumerate(lift.V) if not is_zero_vector(col)]
+    if not is_zero_vector(lift.W0):
+        tags.append(("W0",))
+    if lift.rho != 0:
+        tags.append(("rho",))
+    return tags
 
 
 def theorem_verdict(ext: CentralExtension, nabla: BilinearProduct, lift: LiftData) -> Verdict:
@@ -518,24 +512,13 @@ def theorem_verdict(ext: CentralExtension, nabla: BilinearProduct, lift: LiftDat
     conditions = []
     notes = []
     a = lift.a
-    trivial = all(x == 0 for x in a)
+    central = _nonzero_central_parts(lift)
 
-    def vector_witnesses():
-        w = []
-        for i, col in enumerate(lift.V):
-            if not is_zero_vector(col):
-                w.append(("V", i))
-        return w
-
-    if trivial:
+    if all(x == 0 for x in a):
         case = CASE_TRIVIAL
-        wit = vector_witnesses()
-        if not is_zero_vector(lift.W0):
-            wit.append(("W0",))
-        if lift.rho != 0:
-            wit.append(("rho",))
-        conditions.append(ConditionCheck("central-products-vanish", not wit, wit))
-        wit2 = _vinberg_cocycle_witnesses(base, nabla, lift)
+        conditions.append(ConditionCheck("central-products-vanish", not central, central))
+        values, den = _phi_condition_values(base, theta, nabla, lift)
+        wit2 = [(t, Fraction(v, den)) for t, v in values.items() if v]
         conditions.append(ConditionCheck("vinberg-two-cocycle", not wit2, wit2))
     else:
         rep_ok, rep_wit = is_one_dim_rep(base, a)
@@ -544,32 +527,27 @@ def theorem_verdict(ext: CentralExtension, nabla: BilinearProduct, lift: LiftDat
             conditions.append(ConditionCheck("alpha-is-representation", False, rep_wit))
         else:
             case = CASE_NONTRIVIAL
-            wit = []
-            if not is_zero_vector(lift.W0):
-                wit.append(("W0",))
-            if lift.rho != 0:
-                wit.append(("rho",))
+            wit = [w for w in central if w[0] != "V"]
             conditions.append(ConditionCheck("central-square-vanishes", not wit, wit))
-            witv = vector_witnesses()
+            witv = [w for w in central if w[0] == "V"]
             conditions.append(ConditionCheck("base-central-products-vanish", not witv, witv))
             notes.append(
                 "kernel-only vanishing condition encoded as full V = 0; the central "
                 "parts a_x stay free off the kernel"
             )
+            # C_a(x, y, e_k) for kernel vectors x, y of a: the contraction of the
+            # values with x ^ y, where the a(x) and a(y) terms drop out
+            values, den = _phi_condition_values(base, theta, nabla, lift)
             ker = kernel_basis(Matrix.from_rows([list(a)]))
             wit2 = []
             for p in range(len(ker)):
                 for q in range(p + 1, len(ker)):
                     x, y = ker[p], ker[q]
-                    txy = theta.evaluate([x, y])
+                    wedge = [((i, j), x[i] * y[j] - x[j] * y[i])
+                             for i in range(n) for j in range(i + 1, n)]
+                    wedge = [(ij, w) for ij, w in wedge if w]
                     for k in range(n):
-                        ek = base.basis_vector(k)
-                        val = (
-                            lift.phi_of(x, nabla.apply(y, ek))
-                            - lift.phi_of(y, nabla.apply(x, ek))
-                            - lift.phi_of(base.bracket(x, y), ek)
-                            - a[k] * txy
-                        )
+                        val = sum((w * values[ij + (k,)] for ij, w in wedge), ZERO) / den
                         if val:
                             wit2.append(((p, q, k), val))
             conditions.append(ConditionCheck("kernel-twisted-two-cocycle", not wit2, wit2))
@@ -654,55 +632,35 @@ def _sym_rows(vec, n, index):
 
 
 def _solve_phi_system(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a):
-    """Assemble and solve the linear conditions on the symmetric part of phi.
+    """Solve the per-triple conditions C_a = 0 for the symmetric part s of phi.
 
-    Condition per triple (i < j, k):
-        phi(e_i, nabla(e_j,e_k)) - phi(e_j, nabla(e_i,e_k)) - phi([e_i,e_j], e_k)
-        + a_i phi(e_j,e_k) - a_j phi(e_i,e_k) - a_k theta(e_i,e_j) = 0
-    which is linear in phi = s + theta/2 once a is fixed.
-
-    The rows are assembled in Python ints.  nabla, the bracket constants and a
-    are scaled by their common denominator D, theta by its denominator E
-    (integer_columns, integer_gram); every condition multiplied by 2*D*E then
-    has integer coefficients and an integer right-hand side.  Scaling a row by
-    a nonzero constant changes neither the solution set nor the reduced row
-    echelon form, so the particular solution, the kernel, the rank and the
+    The rows of _phi_condition_operator, times 2, are folded onto the unknowns
+    s[x][q] = s[q][x]; substituting phi = s + theta/2 moves each row's theta
+    part, sum of r * theta(e_x, e_q) / 2, into the constant.  With den = D * E
+    every condition times 2 * den then has integer coefficients and an integer
+    right-hand side (each r is a multiple of E).  Scaling a row by a nonzero
+    constant changes neither the solution set nor the reduced row echelon
+    form, so the particular solution, the kernel, the rank and the
     infeasibility verdict are exactly those of the unscaled system.
     """
     n = base.dim
-    brackets, products, a, _ = integer_columns(base, nabla, [Fraction(x) for x in a])
+    terms, _ = _phi_condition_operator(base, theta, nabla, a)
     gram, e = integer_gram(theta)
-    two_e = 2 * e
+    gram = [g for row in gram for g in row]
     pairs, index = _sym_index(n)
-    # column of the unknown s[x][q] = s[q][x]
-    col = [[index[(min(x, q), max(x, q))] for q in range(n)] for x in range(n)]
+    # column of the unknown s[x][q] = s[q][x], by the position x * n + q
+    col = [index[(min(x, q), max(x, q))] for x in range(n) for q in range(n)]
 
     entries = []
     rhs = []
-    for i in range(n):
-        col_i, gram_i, a_i = col[i], gram[i], a[i]
-        for j in range(i + 1, n):
-            col_j, gram_j, a_j = col[j], gram[j], a[j]
-            for k in range(n):
-                coeffs = [0] * len(pairs)
-                const = -2 * a[k] * gram_i[j]
-                for q, v in products[j][k]:
-                    coeffs[col_i[q]] += v
-                    const += v * gram_i[q]
-                for q, v in products[i][k]:
-                    coeffs[col_j[q]] -= v
-                    const -= v * gram_j[q]
-                for p, v in brackets[i][j]:
-                    coeffs[col[p][k]] -= v
-                    const -= v * gram[p][k]
-                if a_i:
-                    coeffs[col_j[k]] += a_i
-                    const += a_i * gram_j[k]
-                if a_j:
-                    coeffs[col_i[k]] -= a_j
-                    const -= a_j * gram_i[k]
-                entries.extend(two_e * c for c in coeffs)
-                rhs.append(-const)
+    for _, row, const in terms:
+        coeffs = [0] * len(pairs)
+        theta_part = 0
+        for x, r in row:
+            coeffs[col[x]] += 2 * r
+            theta_part += r * gram[x]
+        entries.extend(coeffs)
+        rhs.append(-(2 * const + theta_part // e))
 
     system = Matrix(len(rhs), len(pairs), tuple(entries))
     return solve_linear(system, rhs), pairs, index
@@ -775,6 +733,8 @@ def solve_lift_with_alpha(base: LieAlgebra, theta: KForm, nabla: BilinearProduct
     while the oracle refutes flatness are recorded as gap candidates, never
     dropped.
     """
+    if len(a) != base.dim:
+        raise ValueError(f"central form has length {len(a)}, the base has dimension {base.dim}")
     _require_closed(base, theta)
     rep_ok, wit = is_one_dim_rep(base, a)
     if not rep_ok:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
 from .ratlin import (
     Matrix,
@@ -30,29 +29,6 @@ from .ratlin import (
     vsub,
     vzero,
 )
-
-
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def _det(rows: list) -> Fraction:
-    # Leibniz expansion; only used for the tiny minors of KForm.evaluate.
-    k = len(rows)
-    total = ZERO
-    for perm in permutations(range(k)):
-        term = Fraction(_perm_sign(perm))
-        for i in range(k):
-            term *= rows[i][perm[i]]
-            if term == 0:
-                break
-        total += term
-    return total
 
 
 @dataclass
@@ -101,19 +77,19 @@ class KForm:
         return -self.coeffs.get((j, i), ZERO)
 
     def evaluate(self, vectors) -> Fraction:
-        """Alternating multilinear extension, evaluated on arbitrary vectors."""
+        """Alternating multilinear extension on arbitrary vectors; degree 1 or 2 only."""
+        if self.degree not in (1, 2):
+            raise ValueError(f"evaluate supports degree 1 or 2, got {self.degree}")
         if len(vectors) != self.degree:
             raise ValueError(f"need {self.degree} arguments, got {len(vectors)}")
         for v in vectors:
             if len(v) != self.dim:
                 raise ValueError("argument length does not match form dimension")
-        total = ZERO
-        for idx, c in self.coeffs.items():
-            rows = [[Fraction(vectors[j][i]) for j in range(self.degree)] for i in idx]
-            d = _det(rows)
-            if d:
-                total += c * d
-        return total
+        if self.degree == 1:
+            x = vectors[0]
+            return sum((c * x[i] for (i,), c in self.coeffs.items()), ZERO)
+        x, y = vectors
+        return sum((c * (x[i] * y[j] - x[j] * y[i]) for (i, j), c in self.coeffs.items()), ZERO)
 
     def scaled(self, c) -> "KForm":
         c = Fraction(c)

@@ -270,7 +270,7 @@ def curvature(algebra: LieAlgebra, product: BilinearProduct, u, v, w) -> list:
 
 @dataclass
 class AffineReport:
-    """All torsion and curvature defects of a candidate product, sorted."""
+    """All torsion and curvature defects of a candidate product, in scan (sorted) order."""
 
     torsion_defects: list
     curvature_defects: list
@@ -280,7 +280,8 @@ class AffineReport:
         return not self.torsion_defects and not self.curvature_defects
 
 
-def verify_affine(algebra: LieAlgebra, product: BilinearProduct) -> AffineReport:
+def torsion_defects(algebra: LieAlgebra, product: BilinearProduct) -> list:
+    """Pairs i < j where prod(e_i, e_j) - prod(e_j, e_i) differs from [e_i, e_j]."""
     n = algebra.dim
     if product.dim != n:
         raise ValueError("product dimension does not match algebra")
@@ -290,6 +291,12 @@ def verify_affine(algebra: LieAlgebra, product: BilinearProduct) -> AffineReport
             d = vsub(vsub(product.value(i, j), product.value(j, i)), algebra.bracket_basis(i, j))
             if not is_zero_vector(d):
                 torsion.append(((i, j), d))
+    return torsion
+
+
+def verify_affine(algebra: LieAlgebra, product: BilinearProduct) -> AffineReport:
+    n = algebra.dim
+    torsion = torsion_defects(algebra, product)
     curv = []
     for i in range(n):
         ei = algebra.basis_vector(i)
@@ -299,14 +306,18 @@ def verify_affine(algebra: LieAlgebra, product: BilinearProduct) -> AffineReport
                 c = curvature(algebra, product, ei, ej, algebra.basis_vector(k))
                 if not is_zero_vector(c):
                     curv.append(((i, j, k), c))
-    return AffineReport(sorted(torsion), sorted(curv))
+    return AffineReport(torsion, curv)
 
 
 def integer_gram(theta: KForm) -> tuple:
     """(G, E): E is the lcm of theta's denominators, G[i][j] = E * theta(e_i, e_j) in ints."""
     n = theta.dim
-    ints, den = scale_to_integers(gram_matrix(theta).entries)
-    return [ints[i * n:(i + 1) * n] for i in range(n)], den
+    pairs = sorted(theta.coeffs)
+    ints, den = scale_to_integers([theta.coeffs[p] for p in pairs])
+    gram = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(pairs, ints):
+        gram[i][j], gram[j][i] = v, -v
+    return gram, den
 
 
 def integer_columns(algebra: LieAlgebra, product: BilinearProduct, extra=()) -> tuple:

@@ -14,10 +14,10 @@ from lieaff.catalog import contact_entries, entries, get, symplectic_entries
 from lieaff.cli import main
 from lieaff.extension import (
     LiftData,
+    build_lift,
     central_extend,
     curvature_expansions,
     is_one_dim_rep,
-    lift_torsion_defects,
     random_lift_data,
     solve_lift_trivial,
     solve_lift_with_alpha,
@@ -33,6 +33,7 @@ from lieaff.structures import (
     exact_cocycle_obstruction,
     random_one_form,
     symplectic_check,
+    torsion_defects,
     verify_affine,
 )
 
@@ -181,9 +182,9 @@ def test_criterion_5_torsion_identity():
     for name in BASES:
         base, theta, nabla, ext = base_data(name)
         for lift in lift_batch(name, 100, SEED_TORSION):
-            assert lift_torsion_defects(ext, nabla, lift) == [], name
+            assert torsion_defects(ext.extended, build_lift(ext, nabla, lift)) == [], name
         for lift in lift_batch(name, 100, SEED_PERTURBED, kind="perturbed"):
-            assert lift_torsion_defects(ext, nabla, lift) != [], name
+            assert torsion_defects(ext.extended, build_lift(ext, nabla, lift)) != [], name
 
 
 @criterion(6, "curvature identities: expansions match direct values; central-slot vanishing")

@@ -221,6 +221,35 @@ def test_lift_edited_rho_refuted(capsys, files, tmp_path):
     assert "central-products-vanish: FAIL" in out
 
 
+def test_lift_component_witnesses_text_and_json(capsys, files, tmp_path):
+    lift = LiftData.half_cocycle(get("r2").symplectic_form).with_changes(
+        V=((0, 0), (1, 0)), W0=(0, 2), rho=1)
+    lift_file = tmp_path / "lift.json"
+    fileio.save_liftdata(lift_file, lift)
+    argv = ("lift", files["r2"], "--symplectic", files["r2.theta"], "--lift", str(lift_file))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert ("condition central-products-vanish: FAIL\n"
+            "  V_2 != 0\n  W0 != 0\n  rho != 0\n") in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    central = json.loads(out)["conditions"][0]
+    assert central["name"] == "central-products-vanish"
+    assert central["witnesses"] == [{"at": ["V", 2], "value": None},
+                                    {"at": ["W0"], "value": None},
+                                    {"at": ["rho"], "value": None}]
+
+
+def test_extend_names_new_vector_apart_from_the_basis(capsys, tmp_path):
+    algebra_file, form_file = tmp_path / "xt.json", tmp_path / "xt.theta.json"
+    fileio.save_algebra(algebra_file, LieAlgebra(2, ("x", "t"), {}))
+    fileio.save_form(form_file, KForm(2, 2, {(0, 1): 1}))
+    code, out, _ = run(capsys, "extend", str(algebra_file), "--symplectic", str(form_file))
+    assert code == 0
+    assert "extension dim: 3 (central vector t1)" in out
+    assert "[x, t] = t1" in out
+
+
 def test_lift_half_n4_prints_residuals(capsys, files):
     code, out, _ = run(capsys, "lift", files["n4"], "--symplectic", files["n4.theta"],
                        "--half")

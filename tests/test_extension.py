@@ -9,29 +9,38 @@ from hypothesis import given, settings, strategies as st
 from lieaff.catalog import contact_entries, get, symplectic_entries
 from lieaff.extension import (
     LiftData,
+    _next_name,
     _solve_phi_system,
     build_lift,
     central_extend,
     curvature_expansions,
     half_case_residuals,
     is_one_dim_rep,
-    lift_curvature_defects,
     lift_report,
-    lift_torsion_defects,
-    necessary_v_residuals,
     random_lift_data,
     solve_lift_trivial,
     solve_lift_with_alpha,
     theorem_verdict,
 )
-from lieaff.liecore import KForm, quotient_by_center
-from lieaff.ratlin import Matrix, ONE, ZERO, invert, is_zero_vector, solve_linear
+from lieaff.liecore import KForm, LieAlgebra, quotient_by_center
+from lieaff.ratlin import (
+    Matrix,
+    ONE,
+    ZERO,
+    invert,
+    is_zero_vector,
+    kernel_basis,
+    solve_linear,
+    vscale,
+    vsub,
+)
 from lieaff.structures import (
     BilinearProduct,
     affine_from_symplectic,
     contact_test,
     curvature,
     defining_relation_defects,
+    torsion_defects,
 )
 
 F = Fraction
@@ -104,20 +113,20 @@ def seeded_lifts(name, count, seed, kind="admissible"):
 def test_torsion_identity_random_admissible(name):
     base, theta, nabla, ext = base_data(name)
     for lift in seeded_lifts(name, 25, seed=11):
-        assert lift_torsion_defects(ext, nabla, lift) == []
+        assert torsion_defects(ext.extended, build_lift(ext, nabla, lift)) == []
 
 
 @pytest.mark.parametrize("name", [e.name for e in symplectic_entries()])
 def test_torsion_identity_perturbed_fails(name):
     base, theta, nabla, ext = base_data(name)
     for lift in seeded_lifts(name, 25, seed=12, kind="perturbed"):
-        assert lift_torsion_defects(ext, nabla, lift) != []
+        assert torsion_defects(ext.extended, build_lift(ext, nabla, lift)) != []
 
 
 def test_torsion_defect_locations_for_zero_phi():
     base, theta, nabla, ext = base_data("r4")
     lift = LiftData.zero(4)
-    defects = lift_torsion_defects(ext, nabla, lift)
+    defects = torsion_defects(ext.extended, build_lift(ext, nabla, lift))
     # phi = 0 misses theta on exactly the pairs where theta is nonzero
     assert [t for t, _ in defects] == [(0, 1), (2, 3)]
 
@@ -126,7 +135,7 @@ def test_torsion_defect_for_doubled_phi():
     base, theta, nabla, ext = base_data("r2")
     phi = tuple(tuple(theta.pair(i, j) for j in range(2)) for i in range(2))
     lift = LiftData.zero(2).with_changes(phi=phi)
-    assert lift_torsion_defects(ext, nabla, lift) != []
+    assert torsion_defects(ext.extended, build_lift(ext, nabla, lift)) != []
 
 
 def test_curvature_antisymmetric_in_first_slots():
@@ -196,7 +205,7 @@ def test_curvature_defects_match_expansion_prediction():
     lift = LiftData.half_cocycle(theta, a=[1, 0])
     report = curvature_expansions(ext, nabla, lift)
     predicted = _predicted_defects_from_expansions(report, base.dim)
-    defects = {t for t, _ in lift_curvature_defects(ext, nabla, lift)}
+    defects = {t for t, _ in lift_report(ext, nabla, lift).curvature_defects}
     assert defects == predicted == {(0, 1, 0), (0, 2, 0)}
 
 
@@ -206,7 +215,7 @@ def test_random_defect_sets_match_expansion_prediction(name):
     for lift in seeded_lifts(name, 8, seed=21):
         report = curvature_expansions(ext, nabla, lift)
         predicted = _predicted_defects_from_expansions(report, base.dim)
-        defects = {t for t, _ in lift_curvature_defects(ext, nabla, lift)}
+        defects = {t for t, _ in lift_report(ext, nabla, lift).curvature_defects}
         assert defects == predicted
 
 
@@ -245,17 +254,18 @@ def test_double_central_table_zero_without_central_data():
 
 
 def test_necessary_v_residuals():
+    # the V relation of a lift with phi = theta/2 is the first list of half_case_residuals
     base, theta, nabla, ext = base_data("r2")
-    assert necessary_v_residuals(ext, LiftData.half_cocycle(theta)) == []
+    half = LiftData.half_cocycle(theta)
+    assert half_case_residuals(base, theta, half.V, half.a)[0] == []
     lift = LiftData.half_cocycle(theta).with_changes(V=((ONE, ZERO), (ZERO, ZERO)))
-    res = necessary_v_residuals(ext, lift)
+    res = half_case_residuals(base, theta, lift.V, lift.a)[0]
     assert res[0] == ((0, 1, 0), [F(-3, 2), F(0)])
     # phi = 0 and theta = 0: every term has a zero coefficient
     r2 = get("r2").algebra
     zero_theta = KForm(2, 2, {})
-    ext0 = central_extend(r2, zero_theta)
     lift0 = LiftData.zero(2).with_changes(V=((ONE, ONE), (ONE, ONE)))
-    assert necessary_v_residuals(ext0, lift0) == []
+    assert half_case_residuals(r2, zero_theta, lift0.V, lift0.a)[0] == []
 
 
 def test_flatness_implies_necessary_v_vanishes():
@@ -264,8 +274,8 @@ def test_flatness_implies_necessary_v_vanishes():
     flat = LiftData.half_cocycle(theta)
     assert lift_report(ext, nabla, flat).is_affine
     broken = flat.with_changes(V=((ONE, ZERO, ZERO, ZERO),) + flat.V[1:])
-    assert necessary_v_residuals(ext, broken) != []
-    assert lift_curvature_defects(ext, nabla, broken) != []
+    assert half_case_residuals(base, theta, broken.V, broken.a)[0] != []
+    assert lift_report(ext, nabla, broken).curvature_defects != []
 
 
 def test_half_case_residuals_abelian():
@@ -570,3 +580,163 @@ def test_flat_random_lifts_are_never_missed_by_conditions(data):
     v = theorem_verdict(ext, nabla, lift)
     if v.conditions_hold and v.aux_product_rule_holds:
         assert v.is_affine
+
+
+# ---------------------------------------------------------------------------
+# the per-triple phi condition: one integer operator against the Fraction loops
+# it replaced in the verdict
+
+
+def _vinberg_reference(base, nabla, lift):
+    """Trivial case: phi(x, nabla(y,z)) - phi(y, nabla(x,z)) - phi([x,y], z) over basis triples."""
+    n = base.dim
+    out = []
+    for i in range(n):
+        ei = base.basis_vector(i)
+        for j in range(i + 1, n):
+            ej = base.basis_vector(j)
+            for k in range(n):
+                ek = base.basis_vector(k)
+                val = (
+                    lift.phi_of(ei, nabla.value(j, k))
+                    - lift.phi_of(ej, nabla.value(i, k))
+                    - lift.phi_of(base.bracket_basis(i, j), ek)
+                )
+                if val:
+                    out.append(((i, j, k), val))
+    return out
+
+
+def _kernel_twisted_reference(ext, nabla, lift):
+    """Nontrivial case: the same condition minus a(z) theta(x, y), on kernel vectors x, y of a."""
+    base, theta, n, a = ext.base, ext.cocycle, ext.base.dim, lift.a
+    ker = kernel_basis(Matrix.from_rows([list(a)]))
+    out = []
+    for p in range(len(ker)):
+        for q in range(p + 1, len(ker)):
+            x, y = ker[p], ker[q]
+            txy = theta.evaluate([x, y])
+            for k in range(n):
+                ek = base.basis_vector(k)
+                val = (
+                    lift.phi_of(x, nabla.apply(y, ek))
+                    - lift.phi_of(y, nabla.apply(x, ek))
+                    - lift.phi_of(base.bracket(x, y), ek)
+                    - a[k] * txy
+                )
+                if val:
+                    out.append(((p, q, k), val))
+    return out
+
+
+def _necessary_v_reference(theta, lift):
+    """phi(e_j,e_k) V_i - phi(e_i,e_k) V_j - theta(e_i,e_j) V_k over basis triples."""
+    n = theta.dim
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                r = vsub(
+                    vsub(vscale(lift.phi[j][k], list(lift.V[i])),
+                         vscale(lift.phi[i][k], list(lift.V[j]))),
+                    vscale(theta.pair(i, j), list(lift.V[k])),
+                )
+                if not is_zero_vector(r):
+                    out.append(((i, j, k), r))
+    return out
+
+
+def _assert_phi_condition_matches_reference(ext, nabla, lift):
+    """The verdict's phi-condition witnesses equal the reference loop's, value for value."""
+    v = theorem_verdict(ext, nabla, lift)
+    got = {c.name: c.witnesses for c in v.conditions}
+    if v.case == "trivial-alpha":
+        name, want = "vinberg-two-cocycle", _vinberg_reference(ext.base, nabla, lift)
+    else:
+        assert v.case == "nontrivial-alpha"
+        name, want = "kernel-twisted-two-cocycle", _kernel_twisted_reference(ext, nabla, lift)
+    assert got[name] == want
+    assert all(type(val) is Fraction for _, val in got[name])
+    return got[name]
+
+
+def _representation_basis(algebra):
+    """A basis of the one-dimensional representations: forms vanishing on every bracket."""
+    n = algebra.dim
+    rows = [algebra.bracket_basis(i, j) for i in range(n) for j in range(i + 1, n)]
+    return kernel_basis(Matrix.from_rows(rows, cols=n))
+
+
+@pytest.mark.parametrize("name", [e.name for e in symplectic_entries()])
+def test_phi_condition_matches_reference_trivial_case(name):
+    base, theta, nabla, ext = base_data(name)
+    zero_a = tuple([ZERO] * base.dim)
+    nonempty = 0
+    for kind, seed in (("admissible", 31), ("perturbed", 32)):
+        for lift in seeded_lifts(name, 6, seed=seed, kind=kind):
+            nonempty += bool(_assert_phi_condition_matches_reference(
+                ext, nabla, lift.with_changes(a=zero_a)))
+    # on an abelian base nabla and the bracket vanish, and with them the condition
+    assert (nonempty > 0) == bool(base.constants)
+
+
+@pytest.mark.parametrize("name", [e.name for e in symplectic_entries()])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_phi_condition_matches_reference_for_representations(name, data):
+    base, theta, nabla, ext = base_data(name)
+    a = [ZERO] * base.dim
+    for b in _representation_basis(base):
+        a = [x + data.draw(small_rationals) * y for x, y in zip(a, b)]
+    assert is_one_dim_rep(base, a)[0]
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    for kind in ("admissible", "perturbed"):
+        lift = random_lift_data(rng, theta, kind=kind).with_changes(a=tuple(a))
+        _assert_phi_condition_matches_reference(ext, nabla, lift)
+
+
+def test_phi_condition_matches_reference_r2_gap_alpha():
+    base, theta, nabla, ext = base_data("r2")
+    a = (ONE, ZERO)
+    lifts = [LiftData.half_cocycle(theta, a=a)]
+    for kind, seed in (("admissible", 33), ("perturbed", 34)):
+        lifts += [lift.with_changes(a=a) for lift in seeded_lifts("r2", 6, seed=seed, kind=kind)]
+    # ker a is one-dimensional on the plane, so there is no pair of kernel
+    # vectors and both lists are empty, whatever phi is
+    for lift in lifts:
+        assert _assert_phi_condition_matches_reference(ext, nabla, lift) == []
+
+
+@pytest.mark.parametrize("name", [e.name for e in symplectic_entries()])
+def test_half_case_vector_relation_matches_necessary_v_reference(name):
+    base, theta, nabla, ext = base_data(name)
+    half = LiftData.half_cocycle(theta)
+    nonempty = 0
+    for lift in seeded_lifts(name, 10, seed=35):
+        lift = lift.with_changes(phi=half.phi)
+        first = half_case_residuals(base, theta, lift.V, lift.a)[0]
+        assert first == _necessary_v_reference(theta, lift)
+        nonempty += bool(first)
+    assert nonempty > 0
+
+
+def test_next_name_never_reuses_a_basis_name():
+    assert _next_name(("e1", "e2")) == "e3"
+    assert _next_name(("x", "y")) == "t"
+    assert _next_name(("e2", "e3")) == "t1"
+    assert _next_name(("x", "t")) == "t1"
+    assert _next_name(("t", "t1")) == "t2"
+    theta = KForm(2, 2, {(0, 1): 1})
+    for names, new in ((("e2", "e3"), "t1"), (("x", "t"), "t1")):
+        ext = central_extend(LieAlgebra(2, names, {}), theta)
+        assert ext.extended.basis_names == names + (new,)
+        assert ext.extended.bracket_basis(0, 1) == [0, 0, 1]
+
+
+def test_solve_lift_alpha_rejects_wrong_length():
+    # too short used to raise IndexError; too long was accepted whenever the
+    # system was infeasible, as r4 with a = (1, 0, 0, 0) is
+    base, theta, nabla, ext = base_data("r4")
+    for a in ([ONE, ZERO, ZERO], [ONE, ZERO, ZERO, ZERO, F(7)]):
+        with pytest.raises(ValueError, match="length"):
+            solve_lift_with_alpha(base, theta, nabla, a)

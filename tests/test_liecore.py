@@ -143,6 +143,29 @@ def test_kform_evaluate_alternating():
     assert theta.evaluate([x, x]) == 0
 
 
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_kform_evaluate_matches_coordinate_sums(data):
+    n = data.draw(st.integers(2, 5))
+    x, y = (data.draw(st.lists(small, min_size=n, max_size=n)) for _ in range(2))
+    omega = KForm(1, n, {(i,): data.draw(small) for i in range(n)})
+    assert omega.evaluate([x]) == sum(omega.coeff((i,)) * x[i] for i in range(n))
+    theta = KForm(2, n, {(i, j): data.draw(small) for i in range(n) for j in range(i + 1, n)})
+    expect = sum(theta.pair(i, j) * x[i] * y[j] for i in range(n) for j in range(n))
+    assert theta.evaluate([x, y]) == expect
+    assert type(theta.evaluate([x, y])) is Fraction
+
+
+def test_kform_evaluate_rejects_other_degrees():
+    for degree in (0, 3):
+        form = KForm(degree, 3, {tuple(range(degree)): 1})
+        with pytest.raises(ValueError, match="degree 1 or 2"):
+            form.evaluate([[Fraction(1)] * 3] * degree)
+
+
 def test_quotient_h3():
     e = get("h3")
     q = quotient_by_center(e.algebra, e.contact_form)
