@@ -24,7 +24,10 @@ contracts those values with pairs of kernel vectors of a, where the a(x) and
 a(y) terms vanish ("kernel-twisted-two-cocycle"); and the lift solvers fold
 the rows onto the symmetric part of phi = theta/2 + s and solve for s.  The
 values are also the central part of the curvature on base triples, which
-curvature_expansions checks against the built product.
+curvature_expansions checks against one curvature scan of the built product.
+The integer tables of the base data (_base_tables) are built once per solve
+or verdict and shared by the defining-relation readback, the operator and the
+solvers' system.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .liecore import KForm, LieAlgebra, cocycle_defects
+from .liecore import KForm, LieAlgebra, cocycle_defects, integer_gram
 from .ratlin import (
     Matrix,
     ZERO,
@@ -55,7 +58,6 @@ from .structures import (
     curvature,
     defining_relation_defects,
     integer_columns,
-    integer_gram,
     symplectic_check,
     torsion_defects,
     verify_affine,
@@ -225,19 +227,41 @@ def lift_report(ext: CentralExtension, nabla: BilinearProduct, lift: LiftData) -
 # ---------------------------------------------------------------------------
 # the per-triple condition on phi
 
-def _phi_condition_operator(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a):
+def _base_tables(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a) -> tuple:
+    """(columns, gram): integer_columns(base, nabla, a) and integer_gram(theta).
+
+    Built once per solve or verdict, then shared by the defining-relation
+    readback, the phi condition operator and the lift solvers' system.
+    """
+    return integer_columns(base, nabla, [Fraction(x) for x in a]), integer_gram(theta)
+
+
+def _checked_base_tables(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a) -> tuple:
+    """_base_tables, after the readback has confirmed the symplectic defining relation."""
+    columns, gram = _base_tables(base, theta, nabla, a)
+    readback = defining_relation_defects(base, theta, nabla, columns, gram)
+    if readback:
+        raise ValueError(
+            f"base product violates the symplectic defining relation at {readback[0][0]}"
+        )
+    return columns, gram
+
+
+def _phi_condition_operator(columns, gram):
     """C_a(e_i, e_j, e_k) for i < j and all k, as integer rows over the entries of phi.
 
-    Returns (terms, den).  terms lists ((i, j, k), row, const) in scan order;
-    row holds (x * n + q, r) pairs, a position possibly more than once, with
+    columns and gram are the base tables (_base_tables) for nabla, a and
+    theta.  Returns (terms, den).  terms lists ((i, j, k), row, const) in scan
+    order; row holds (x * n + q, r) pairs, a position possibly more than once,
+    with
         C_a(e_i, e_j, e_k) = (sum of r * phi[x][q] over the row + const) / den.
     nabla, the bracket constants and a are scaled by their common denominator
     D (integer_columns), theta by its denominator E (integer_gram); den = D * E
     and every coefficient r is a multiple of E.
     """
-    n = base.dim
-    brackets, products, a, d = integer_columns(base, nabla, [Fraction(x) for x in a])
-    gram, e = integer_gram(theta)
+    brackets, products, a, d = columns
+    gram, e = gram
+    n = len(gram)
     terms = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -253,10 +277,12 @@ def _phi_condition_operator(base: LieAlgebra, theta: KForm, nabla: BilinearProdu
     return terms, d * e
 
 
-def _phi_condition_values(base: LieAlgebra, theta: KForm, nabla: BilinearProduct,
-                          lift: LiftData) -> tuple:
-    """({(i, j, k): v}, den): C_a at the lift's phi and a is v / den, in scan order."""
-    terms, den = _phi_condition_operator(base, theta, nabla, lift.a)
+def _phi_condition_values(columns, gram, lift: LiftData) -> tuple:
+    """({(i, j, k): v}, den): C_a at the lift's phi and a is v / den, in scan order.
+
+    columns and gram are the base tables built with the lift's a.
+    """
+    terms, den = _phi_condition_operator(columns, gram)
     phi, f = scale_to_integers([x for row in lift.phi for x in row])
     values = {t: sum(r * phi[x] for x, r in row) + const * f for t, row, const in terms}
     return values, den * f
@@ -295,30 +321,24 @@ def curvature_expansions(ext: CentralExtension, nabla: BilinearProduct,
     n = base.dim
     prod = build_lift(ext, nabla, lift)
     extended = ext.extended
-    central = extended.basis_vector(n)
+    # the direct route: one curvature scan of the built product; R(e_i, t) e_j
+    # is at (i, n, j), R(e_i, e_j) t at (i, j, n), and R(t, e_j) t = -R(e_j, t) t
+    direct = dict(curvature(extended, prod))
+    base_curvature = dict(curvature(base, nabla))
+    zero = vzero(n + 1)
 
-    def embed(v):
-        return list(v) + [ZERO]
-
-    def direct(u, v, w):
-        return curvature(extended, prod, u, v, w)
-
-    phi_conditions, den = _phi_condition_values(base, theta, nabla, lift)
+    phi_conditions, den = _phi_condition_values(*_base_tables(base, theta, nabla, lift.a), lift)
     base_triples = {}
     for i in range(n):
-        ei = base.basis_vector(i)
         for j in range(i + 1, n):
-            ej = base.basis_vector(j)
             for k in range(n):
-                ek = base.basis_vector(k)
-                vec = list(curvature(base, nabla, ei, ej, ek))
+                vec = base_curvature.get((i, j, k), zero[:n])
                 vec = vadd(vec, vscale(lift.phi[j][k], list(lift.V[i])))
                 vec = vsub(vec, vscale(lift.phi[i][k], list(lift.V[j])))
                 vec = vsub(vec, vscale(theta.pair(i, j), list(lift.V[k])))
                 # the central part is the per-triple condition C_a(e_i, e_j, e_k)
                 value = vec + [Fraction(phi_conditions[(i, j, k)], den)]
-                got = direct(embed(ei), embed(ej), embed(ek))
-                if value != got:
+                if value != direct.get((i, j, k), zero):
                     raise RuntimeError(
                         f"base-triple curvature expansion mismatch at {(i, j, k)}"
                     )
@@ -340,8 +360,7 @@ def curvature_expansions(ext: CentralExtension, nabla: BilinearProduct,
                 - lift.phi[i][j] * lift.rho
             )
             value = vec + [central_part]
-            got = direct(embed(ei), central, embed(ej))
-            if value != got:
+            if value != direct.get((i, n, j), zero):
                 raise RuntimeError(f"mixed-central curvature expansion mismatch at {(i, j)}")
             mixed_central[(i, j)] = value
 
@@ -354,17 +373,12 @@ def curvature_expansions(ext: CentralExtension, nabla: BilinearProduct,
         vec = vsub(vec, vscale(lift.rho, vj))
         central_part = lift.a_of(vj) - lift.phi_of(ej, list(lift.W0))
         value = vec + [central_part]
-        got = direct(central, embed(ej), central)
-        if value != got:
+        if value != [-x for x in direct.get((j, n, n), zero)]:
             raise RuntimeError(f"double-central curvature expansion mismatch at {j}")
         double_central[j] = value
 
-    central_slot = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            central_slot[(i, j)] = direct(
-                embed(base.basis_vector(i)), embed(base.basis_vector(j)), central
-            )
+    central_slot = {(i, j): direct.get((i, j, n), zero)
+                    for i in range(n) for j in range(i + 1, n)}
 
     if all(is_zero_vector(v) for v in mixed_central.values()):
         bad = [t for t, v in central_slot.items() if not is_zero_vector(v)]
@@ -498,13 +512,8 @@ def theorem_verdict(ext: CentralExtension, nabla: BilinearProduct, lift: LiftDat
     constrained by the statement, and this reading is recorded in notes.
     """
     base = ext.base
-    theta = ext.cocycle
     n = base.dim
-    readback = defining_relation_defects(base, theta, nabla)
-    if readback:
-        raise ValueError(
-            f"base product violates the symplectic defining relation at {readback[0][0]}"
-        )
+    tables = _checked_base_tables(base, ext.cocycle, nabla, lift.a)
 
     report = lift_report(ext, nabla, lift)
     is_affine = report.is_affine
@@ -517,7 +526,7 @@ def theorem_verdict(ext: CentralExtension, nabla: BilinearProduct, lift: LiftDat
     if all(x == 0 for x in a):
         case = CASE_TRIVIAL
         conditions.append(ConditionCheck("central-products-vanish", not central, central))
-        values, den = _phi_condition_values(base, theta, nabla, lift)
+        values, den = _phi_condition_values(*tables, lift)
         wit2 = [(t, Fraction(v, den)) for t, v in values.items() if v]
         conditions.append(ConditionCheck("vinberg-two-cocycle", not wit2, wit2))
     else:
@@ -537,7 +546,7 @@ def theorem_verdict(ext: CentralExtension, nabla: BilinearProduct, lift: LiftDat
             )
             # C_a(x, y, e_k) for kernel vectors x, y of a: the contraction of the
             # values with x ^ y, where the a(x) and a(y) terms drop out
-            values, den = _phi_condition_values(base, theta, nabla, lift)
+            values, den = _phi_condition_values(*tables, lift)
             ker = kernel_basis(Matrix.from_rows([list(a)]))
             wit2 = []
             for p in range(len(ker)):
@@ -631,10 +640,11 @@ def _sym_rows(vec, n, index):
     return rows
 
 
-def _solve_phi_system(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a):
+def _solve_phi_system(columns, gram):
     """Solve the per-triple conditions C_a = 0 for the symmetric part s of phi.
 
-    The rows of _phi_condition_operator, times 2, are folded onto the unknowns
+    columns and gram are the base tables (_base_tables).  The rows of
+    _phi_condition_operator, times 2, are folded onto the unknowns
     s[x][q] = s[q][x]; substituting phi = s + theta/2 moves each row's theta
     part, sum of r * theta(e_x, e_q) / 2, into the constant.  With den = D * E
     every condition times 2 * den then has integer coefficients and an integer
@@ -643,9 +653,9 @@ def _solve_phi_system(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a)
     form, so the particular solution, the kernel, the rank and the
     infeasibility verdict are exactly those of the unscaled system.
     """
-    n = base.dim
-    terms, _ = _phi_condition_operator(base, theta, nabla, a)
-    gram, e = integer_gram(theta)
+    terms, _ = _phi_condition_operator(columns, gram)
+    gram, e = gram
+    n = len(gram)
     gram = [g for row in gram for g in row]
     pairs, index = _sym_index(n)
     # column of the unknown s[x][q] = s[q][x], by the position x * n + q
@@ -663,7 +673,7 @@ def _solve_phi_system(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a)
         rhs.append(-(2 * const + theta_part // e))
 
     system = Matrix(len(rhs), len(pairs), tuple(entries))
-    return solve_linear(system, rhs), pairs, index
+    return solve_linear(system, rhs), index
 
 
 def _package_and_check(base, theta, nabla, a, solution, index):
@@ -712,13 +722,9 @@ def _package_and_check(base, theta, nabla, a, solution, index):
 def solve_lift_trivial(base: LieAlgebra, theta: KForm, nabla: BilinearProduct) -> LiftSolveResult:
     """Admissible phi for the trivial central form: every solution must be flat."""
     _require_closed(base, theta)
-    readback = defining_relation_defects(base, theta, nabla)
-    if readback:
-        raise ValueError(
-            f"base product violates the symplectic defining relation at {readback[0][0]}"
-        )
-    solution, pairs, index = _solve_phi_system(base, theta, nabla, [ZERO] * base.dim)
-    result = _package_and_check(base, theta, nabla, [ZERO] * base.dim, solution, index)
+    a = [ZERO] * base.dim
+    solution, index = _solve_phi_system(*_checked_base_tables(base, theta, nabla, a))
+    result = _package_and_check(base, theta, nabla, a, solution, index)
     for pt in result.points:
         if not pt.flat:
             raise AssertionError("trivial-case solver produced a non-flat candidate")
@@ -739,12 +745,7 @@ def solve_lift_with_alpha(base: LieAlgebra, theta: KForm, nabla: BilinearProduct
     rep_ok, wit = is_one_dim_rep(base, a)
     if not rep_ok:
         raise ValueError(f"central form is not a representation; witness at pair {wit[0][0]}")
-    readback = defining_relation_defects(base, theta, nabla)
-    if readback:
-        raise ValueError(
-            f"base product violates the symplectic defining relation at {readback[0][0]}"
-        )
-    solution, pairs, index = _solve_phi_system(base, theta, nabla, a)
+    solution, index = _solve_phi_system(*_checked_base_tables(base, theta, nabla, a))
     return _package_and_check(base, theta, nabla, a, solution, index)
 
 

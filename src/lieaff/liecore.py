@@ -7,6 +7,20 @@ d(w)(x, y) = -w([x, y]), the 2-cocycle defect of a 2-form, and the quotient of
 an algebra with one-dimensional center by that center, together with the
 induced 2-form and the data needed to rebuild the original algebra.
 
+The scans over structure constants run in Python ints.  integer_brackets
+gives the bracket columns [e_i, e_j] as sparse ints over one common
+denominator D, integer_gram a 2-form's Gram matrix over its denominator E,
+and a value becomes a Fraction only at the end, and only when it is nonzero.
+integer_curvature is the one curvature kernel: from the left-multiplication
+columns of a product and the bracket columns it gives
+R(e_i, e_j) e_k = e_i.(e_j.e_k) - e_j.(e_i.e_k) - [e_i, e_j].e_k times D^2.
+structures.curvature runs it on a product; jacobi_defects runs it on the
+bracket itself, since ad is a representation exactly when Jacobi holds: the
+cyclic Jacobi sum on e_i, e_j, e_k is -R_ad(e_i, e_j) e_k.  center and
+lower_central_series hand integer rows built from the same columns to ratlin;
+the reduced row echelon form is unique, so the kernels and echelon bases are
+exactly those of the same computation over Q.
+
 Indices are 0-based throughout this package; file formats and CLI output use
 1-based indices at the boundary.
 """
@@ -15,15 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .ratlin import (
     Matrix,
     ONE,
     ZERO,
     echelon_basis,
+    fractions_over,
     invert,
-    is_zero_vector,
     kernel_basis,
+    scale_to_integers,
     vadd,
     vscale,
     vsub,
@@ -103,6 +119,17 @@ def form_add(f: KForm, g: KForm) -> KForm:
     for idx, c in g.coeffs.items():
         coeffs[idx] = coeffs.get(idx, ZERO) + c
     return KForm(f.degree, f.dim, coeffs)
+
+
+def integer_gram(theta: KForm) -> tuple:
+    """(G, E): E is the lcm of theta's denominators, G[i][j] = E * theta(e_i, e_j) in ints."""
+    n = theta.dim
+    pairs = sorted(theta.coeffs)
+    ints, den = scale_to_integers([theta.coeffs[p] for p in pairs])
+    gram = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(pairs, ints):
+        gram[i][j], gram[j][i] = v, -v
+    return gram, den
 
 
 @dataclass
@@ -188,37 +215,42 @@ class LieAlgebra:
         return out
 
     def jacobi_defects(self) -> list:
-        """All basis triples i < j < k where the cyclic Jacobi sum is nonzero."""
-        defects = []
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = vadd(
-                        vadd(
-                            self.bracket(self.bracket_basis(i, j), self.basis_vector(k)),
-                            self.bracket(self.bracket_basis(j, k), self.basis_vector(i)),
-                        ),
-                        self.bracket(self.bracket_basis(k, i), self.basis_vector(j)),
-                    )
-                    if not is_zero_vector(s):
-                        defects.append(((i, j, k), s))
-        return defects
+        """All basis triples i < j < k where the cyclic Jacobi sum is nonzero.
+
+        The sum is -R_ad(e_i, e_j) e_k, the curvature of ad: integer_curvature
+        on the bracket columns, over D^2.
+        """
+        brackets, d = integer_brackets(self)
+        return [(t, fractions_over(acc, -d * d))
+                for t, acc in integer_curvature(brackets, brackets, above=True)]
 
     def is_lie(self) -> bool:
         return not self.jacobi_defects()
 
     def lower_central_series(self) -> list:
-        """g >= [g, g] >= [g, [g, g]] >= ..., strictly decreasing part only."""
-        terms = [Subspace.spanned_by(self.dim, [self.basis_vector(i) for i in range(self.dim)])]
+        """g >= [g, g] >= [g, [g, g]] >= ..., strictly decreasing part only.
+
+        The generators [e_i, b] of each next term come from the integer
+        bracket columns, with b scaled to ints: a positive multiple of each
+        generator spans the same space.
+        """
+        n = self.dim
+        brackets, _ = integer_brackets(self)
+        terms = [Subspace.spanned_by(n, [self.basis_vector(i) for i in range(n)])]
         while True:
             prev = terms[-1]
+            scaled = [scale_to_integers(b)[0] for b in prev.basis]
             gens = []
-            for i in range(self.dim):
-                ei = self.basis_vector(i)
-                for b in prev.basis:
-                    gens.append(self.bracket(ei, b))
-            nxt = Subspace.spanned_by(self.dim, gens)
+            for i in range(n):
+                brackets_i = brackets[i]
+                for b in scaled:
+                    acc = [0] * n
+                    for m, c in enumerate(b):
+                        if c:
+                            for k, v in brackets_i[m]:
+                                acc[k] += c * v
+                    gens.append(acc)
+            nxt = Subspace.spanned_by(n, gens)
             if nxt.dim == prev.dim:
                 break
             terms.append(nxt)
@@ -228,15 +260,71 @@ class LieAlgebra:
         return self.lower_central_series()[-1].dim == 0
 
     def center(self) -> Subspace:
-        """Kernel of x -> ad_x, from the stacked structure-constant matrix."""
+        """Kernel of x -> ad_x, from the stacked structure-constant matrix in ints.
+
+        Row j * n + k, column i holds D * [e_i, e_j]_k.
+        """
         n = self.dim
-        rows = []
-        for j in range(n):
-            cols = [self.bracket(self.basis_vector(i), self.basis_vector(j)) for i in range(n)]
-            for k in range(n):
-                rows.append([cols[i][k] for i in range(n)])
-        ker = kernel_basis(Matrix.from_rows(rows, cols=n))
-        return Subspace(n, ker)
+        brackets, _ = integer_brackets(self)
+        entries = [0] * (n * n * n)
+        for i in range(n):
+            for j in range(n):
+                for k, v in brackets[i][j]:
+                    entries[(j * n + k) * n + i] = v
+        return Subspace(n, kernel_basis(Matrix(n * n, n, tuple(entries))))
+
+
+def integer_brackets(algebra: LieAlgebra, den: int = 1) -> tuple:
+    """(B, D): the bracket columns as sparse ints over one common denominator.
+
+    D is the lcm of den and the denominators of the structure constants;
+    B[i][j] lists the pairs (k, D * c) over the nonzero entries c of
+    [e_i, e_j], for every ordered pair (i, j).
+    """
+    n = algebra.dim
+    constants = sorted(algebra.constants.items())
+    d = lcm(den, *(c.denominator for _, terms in constants for c in terms.values()))
+    brackets = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j), terms in constants:
+        keys = sorted(terms)
+        ints = scale_to_integers([terms[k] for k in keys], d)[0]
+        brackets[i][j] = list(zip(keys, ints))
+        brackets[j][i] = [(k, -v) for k, v in brackets[i][j]]
+    return brackets, d
+
+
+def integer_curvature(left, brackets, above: bool = False) -> list:
+    """The one curvature kernel, in ints: D^2 * R(e_i, e_j) e_k where nonzero.
+
+    left[i][k] and brackets[i][j] list (m, D * c) over the nonzero entries c
+    of e_i.e_k and [e_i, e_j], for one common denominator D.  With
+    R(x, y) z = x.(y.z) - y.(x.z) - [x, y].z and P_i the columns of e_i.,
+        D^2 R(e_i, e_j) e_k = sum_m P_j[k]_m P_i[m] - sum_m P_i[k]_m P_j[m]
+                              - sum_m B_ij,m P_m[k].
+    Returns ((i, j, k), values) for i < j and every k (k > j when above is
+    set), in scan order, values a dense list of ints, only the nonzero ones.
+    """
+    n = len(left)
+    out = []
+    for i in range(n):
+        left_i = left[i]
+        for j in range(i + 1, n):
+            left_j = left[j]
+            bracket_ij = brackets[i][j]
+            for k in range(j + 1 if above else 0, n):
+                acc = [0] * n
+                for m, v in left_j[k]:
+                    for t, w in left_i[m]:
+                        acc[t] += v * w
+                for m, v in left_i[k]:
+                    for t, w in left_j[m]:
+                        acc[t] -= v * w
+                for m, v in bracket_ij:
+                    for t, w in left[m][k]:
+                        acc[t] -= v * w
+                if any(acc):
+                    out.append(((i, j, k), acc))
+    return out
 
 
 def differential(algebra: LieAlgebra, omega: KForm) -> KForm:
@@ -256,27 +344,30 @@ def differential(algebra: LieAlgebra, omega: KForm) -> KForm:
 
 
 def cocycle_defects(algebra: LieAlgebra, theta: KForm) -> list:
-    """Cyclic 2-cocycle defects theta([ei,ej],ek) + theta([ej,ek],ei) + theta([ek,ei],ej)."""
+    """Cyclic 2-cocycle defects theta([ei,ej],ek) + theta([ej,ek],ei) + theta([ek,ei],ej).
+
+    Evaluated in ints, from the bracket columns over D and the Gram matrix
+    over E; a nonzero value becomes a Fraction over D * E.
+    """
     if theta.degree != 2:
         raise ValueError("cocycle test needs a 2-form")
     if theta.dim != algebra.dim:
         raise ValueError("form dimension does not match algebra")
     n = algebra.dim
+    brackets, d = integer_brackets(algebra)
+    gram, e = integer_gram(theta)
 
-    def theta_vec_basis(v, k):
-        return sum((v[q] * theta.pair(q, k) for q in range(n) if v[q]), ZERO)
+    def pair(column, k):
+        return sum(v * gram[q][k] for q, v in column)
 
     defects = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                val = (
-                    theta_vec_basis(algebra.bracket_basis(i, j), k)
-                    + theta_vec_basis(algebra.bracket_basis(j, k), i)
-                    + theta_vec_basis(algebra.bracket_basis(k, i), j)
-                )
+                val = (pair(brackets[i][j], k) + pair(brackets[j][k], i)
+                       + pair(brackets[k][i], j))
                 if val:
-                    defects.append(((i, j, k), val))
+                    defects.append(((i, j, k), Fraction(val, d * e)))
     return defects
 
 

@@ -106,6 +106,11 @@ def scale_to_integers(values, den: Optional[int] = None) -> tuple:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def fractions_over(values, den: int) -> list:
+    """The ints in values over den, as Fractions; the zero entries are ZERO."""
+    return [Fraction(v, den) if v else ZERO for v in values]
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Dense row-major matrix of exact rationals.

@@ -6,6 +6,13 @@ factorials: the shuffle sum *is* the definition.  The affine structure
 attached to a symplectic 2-cocycle theta is the unique product with
 theta(prod(x, y), z) = -theta(y, [x, z]); it is verified to be flat and
 torsion-free before it is returned.
+
+Products and brackets are scanned as sparse integer columns over one common
+denominator D (integer_columns).  curvature is the one flatness scan: it runs
+liecore.integer_curvature, the kernel Jacobi testing shares, on the product's
+left-multiplication columns and turns only the nonzero values into
+Fractions.  The canonical product and the defining-relation readback are
+evaluated in ints the same way.
 """
 
 from __future__ import annotations
@@ -14,13 +21,23 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Optional
 
-from .liecore import KForm, LieAlgebra, cocycle_defects, differential
+from .liecore import (
+    KForm,
+    LieAlgebra,
+    cocycle_defects,
+    differential,
+    integer_brackets,
+    integer_curvature,
+    integer_gram,
+)
 from .ratlin import (
     Matrix,
     ONE,
     ZERO,
+    fractions_over,
     invert,
     is_zero_vector,
     rank as matrix_rank,
@@ -207,18 +224,14 @@ class SymplecticReport:
         return self.nondegenerate and self.closed
 
 
-def gram_matrix(theta: KForm) -> Matrix:
-    n = theta.dim
-    return Matrix.from_rows([[theta.pair(i, j) for j in range(n)] for i in range(n)])
-
-
 def symplectic_check(algebra: LieAlgebra, theta: KForm) -> SymplecticReport:
     n = algebra.dim
     if n % 2 != 0:
         raise ValueError("symplectic check needs even dimension")
     if theta.degree != 2 or theta.dim != n:
         raise ValueError("need a 2-form on the algebra")
-    rk = matrix_rank(gram_matrix(theta))
+    gram, _ = integer_gram(theta)
+    rk = matrix_rank(Matrix(n, n, tuple(g for row in gram for g in row)))
     defects = cocycle_defects(algebra, theta)
     return SymplecticReport(rk == n, not defects, rk, defects)
 
@@ -227,31 +240,36 @@ def affine_from_symplectic(algebra: LieAlgebra, theta: KForm) -> BilinearProduct
     """The product defined by theta(prod(e_i, e_j), e_k) = -theta(e_j, [e_i, e_k]).
 
     Uniqueness comes from nondegeneracy, which is asserted here by inverting
-    the Gram matrix rather than trusted.  The result is checked to be a flat
-    torsion-free product before returning.
+    the Gram matrix rather than trusted.  With theta over E (integer_gram),
+    the bracket over D (integer_brackets) and the inverse of the transposed
+    integer Gram matrix over F, prod(e_i, e_j) = inverse . r / (D * F), where
+    r_k = -sum_q D [e_i, e_k]_q * E theta(e_j, e_q) is an integer.  The result
+    is checked to be a flat torsion-free product before returning.
     """
     n = algebra.dim
     defects = cocycle_defects(algebra, theta)
     if defects:
         raise ValueError(f"2-form is not a cocycle; first defect at {defects[0][0]}")
-    gram = gram_matrix(theta)  # gram[k][q] = theta(e_k, e_q)
+    gram, _ = integer_gram(theta)
     try:
         # theta(v, e_k) = sum_q v_q theta(e_q, e_k): coefficient matrix is
         # gram transposed, i.e. m[k][q] = theta(e_q, e_k).
-        minv = invert(Matrix.from_rows([[gram.at(q, k) for q in range(n)] for k in range(n)]))
+        minv = invert(Matrix(n, n, tuple(gram[q][k] for k in range(n) for q in range(n))))
     except ValueError:
         raise ValueError("2-form is degenerate; the defining relation has no unique solution")
+    minv, f = scale_to_integers(minv.entries)
+    minv = [minv[r * n:(r + 1) * n] for r in range(n)]
+    brackets, d = integer_brackets(algebra)
 
     table = {}
     for i in range(n):
         for j in range(n):
-            rhs = []
-            for k in range(n):
-                br = algebra.bracket_basis(i, k)
-                rhs.append(-sum((br[q] * theta.pair(j, q) for q in range(n) if br[q]), ZERO))
-            v = minv.mul_vec(rhs)
-            if not is_zero_vector(v):
-                table[(i, j)] = v
+            gram_j = gram[j]
+            rhs = [(k, -sum(v * gram_j[q] for q, v in brackets[i][k])) for k in range(n)]
+            rhs = [(k, r) for k, r in rhs if r]
+            if rhs:
+                v = [sum(row[k] * r for k, r in rhs) for row in minv]
+                table[(i, j)] = fractions_over(v, d * f)
     product = BilinearProduct(n, table)
 
     report = verify_affine(algebra, product)
@@ -260,12 +278,15 @@ def affine_from_symplectic(algebra: LieAlgebra, theta: KForm) -> BilinearProduct
     return product
 
 
-def curvature(algebra: LieAlgebra, product: BilinearProduct, u, v, w) -> list:
-    """prod(u, prod(v, w)) - prod(v, prod(u, w)) - prod([u, v], w)."""
-    return vsub(
-        vsub(product.apply(u, product.apply(v, w)), product.apply(v, product.apply(u, w))),
-        product.apply(algebra.bracket(u, v), w),
-    )
+def curvature(algebra: LieAlgebra, product: BilinearProduct) -> list:
+    """The flatness scan: every nonzero R(e_i, e_j) e_k, i < j, all k, in scan order.
+
+    R(u, v) w = prod(u, prod(v, w)) - prod(v, prod(u, w)) - prod([u, v], w),
+    computed by integer_curvature from the columns over D and returned as
+    ((i, j, k), [Fraction, ...]) with the values over D^2.
+    """
+    brackets, products, _, d = integer_columns(algebra, product)
+    return [(t, fractions_over(acc, d * d)) for t, acc in integer_curvature(products, brackets)]
 
 
 @dataclass
@@ -295,29 +316,7 @@ def torsion_defects(algebra: LieAlgebra, product: BilinearProduct) -> list:
 
 
 def verify_affine(algebra: LieAlgebra, product: BilinearProduct) -> AffineReport:
-    n = algebra.dim
-    torsion = torsion_defects(algebra, product)
-    curv = []
-    for i in range(n):
-        ei = algebra.basis_vector(i)
-        for j in range(i + 1, n):
-            ej = algebra.basis_vector(j)
-            for k in range(n):
-                c = curvature(algebra, product, ei, ej, algebra.basis_vector(k))
-                if not is_zero_vector(c):
-                    curv.append(((i, j, k), c))
-    return AffineReport(torsion, curv)
-
-
-def integer_gram(theta: KForm) -> tuple:
-    """(G, E): E is the lcm of theta's denominators, G[i][j] = E * theta(e_i, e_j) in ints."""
-    n = theta.dim
-    pairs = sorted(theta.coeffs)
-    ints, den = scale_to_integers([theta.coeffs[p] for p in pairs])
-    gram = [[0] * n for _ in range(n)]
-    for (i, j), v in zip(pairs, ints):
-        gram[i][j], gram[j][i] = v, -v
-    return gram, den
+    return AffineReport(torsion_defects(algebra, product), curvature(algebra, product))
 
 
 def integer_columns(algebra: LieAlgebra, product: BilinearProduct, extra=()) -> tuple:
@@ -332,42 +331,34 @@ def integer_columns(algebra: LieAlgebra, product: BilinearProduct, extra=()) -> 
     n = algebra.dim
     if product.dim != n:
         raise ValueError("product dimension does not match algebra")
-    constants = sorted(algebra.constants.items())
     table = sorted(product.table.items())
     extra = list(extra)
-    _, den = scale_to_integers(
-        [c for _, terms in constants for c in terms.values()]
-        + [x for _, col in table for x in col] + extra
-    )
-
-    def sparse(keys, values):
-        return [(k, v) for k, v in zip(keys, scale_to_integers(values, den)[0]) if v]
-
-    brackets = [[[] for _ in range(n)] for _ in range(n)]
-    for (i, j), terms in constants:
-        keys = sorted(terms)
-        brackets[i][j] = sparse(keys, [terms[k] for k in keys])
-        brackets[j][i] = [(k, -v) for k, v in brackets[i][j]]
+    den = lcm(*(x.denominator for _, col in table for x in col),
+              *(x.denominator for x in extra))
+    brackets, den = integer_brackets(algebra, den)
     products = [[[] for _ in range(n)] for _ in range(n)]
     for (i, j), col in table:
-        products[i][j] = sparse(range(n), col)
+        products[i][j] = [(k, v) for k, v in enumerate(scale_to_integers(col, den)[0]) if v]
     return brackets, products, scale_to_integers(extra, den)[0], den
 
 
-def defining_relation_defects(algebra: LieAlgebra, theta: KForm,
-                              product: BilinearProduct) -> list:
+def defining_relation_defects(algebra: LieAlgebra, theta: KForm, product: BilinearProduct,
+                              columns=None, gram=None) -> list:
     """Readback of theta(prod(e_i, e_j), e_k) + theta(e_j, [e_i, e_k]) over all triples.
 
     Evaluated in ints: with the product and the bracket over their common
     denominator D (integer_columns) and theta over its denominator E
     (integer_gram), each value times D * E is an integer.  Only the nonzero
-    ones become Fractions, so witnesses and values are exact.
+    ones become Fractions, so witnesses and values are exact.  A caller that
+    needs the tables too passes them as columns and gram.
     """
     n = algebra.dim
     if theta.degree != 2 or theta.dim != n:
         raise ValueError("need a 2-form on the algebra")
-    brackets, products, _, d = integer_columns(algebra, product)
-    gram, e = integer_gram(theta)
+    if columns is None:
+        columns = integer_columns(algebra, product)
+    brackets, products, _, d = columns
+    gram, e = integer_gram(theta) if gram is None else gram
     out = []
     for i in range(n):
         bracket_i = brackets[i]

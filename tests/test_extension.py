@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lieaff.catalog import contact_entries, get, symplectic_entries
 from lieaff.extension import (
     LiftData,
+    _base_tables,
     _next_name,
     _solve_phi_system,
     build_lift,
@@ -38,10 +39,11 @@ from lieaff.structures import (
     BilinearProduct,
     affine_from_symplectic,
     contact_test,
-    curvature,
     defining_relation_defects,
     torsion_defects,
 )
+
+from fraction_scans import curvature_at
 
 F = Fraction
 
@@ -144,7 +146,7 @@ def test_curvature_antisymmetric_in_first_slots():
     prod = build_lift(ext, nabla, lift)
     lx = ext.extended
     u = [F(1), F(2), F(-1)]
-    assert curvature(lx, prod, u, u, lx.basis_vector(0)) == [0, 0, 0]
+    assert curvature_at(lx, prod, u, u, lx.basis_vector(0)) == [0, 0, 0]
 
 
 def test_curvature_central_slot_picks_up_rho_term():
@@ -152,7 +154,7 @@ def test_curvature_central_slot_picks_up_rho_term():
     lift = LiftData.half_cocycle(theta).with_changes(rho=ONE)
     prod = build_lift(ext, nabla, lift)
     lx = ext.extended
-    c = curvature(lx, prod, lx.basis_vector(0), lx.basis_vector(1), lx.basis_vector(2))
+    c = curvature_at(lx, prod, lx.basis_vector(0), lx.basis_vector(1), lx.basis_vector(2))
     assert c == [0, 0, F(-1)]
 
 
@@ -431,7 +433,7 @@ def test_solve_lift_rejects_nonclosed_form_on_infeasible_system():
             table[(i, j)] = minv.mul_vec(rhs)
     nabla = BilinearProduct(n, table)
     assert defining_relation_defects(n4, theta, nabla) == []
-    assert _solve_phi_system(n4, theta, nabla, a)[0].infeasible
+    assert _solve_phi_system(*_base_tables(n4, theta, nabla, a))[0].infeasible
     with pytest.raises(ValueError, match="not closed"):
         solve_lift_with_alpha(n4, theta, nabla, a)
 
@@ -474,7 +476,7 @@ def _solve_phi_system_reference(base, theta, nabla, a):
 
 
 def _assert_phi_system_matches_reference(base, theta, nabla, a):
-    got = _solve_phi_system(base, theta, nabla, a)[0]
+    got = _solve_phi_system(*_base_tables(base, theta, nabla, a))[0]
     want = _solve_phi_system_reference(base, theta, nabla, a)
     assert got.infeasible == want.infeasible
     assert got.rank == want.rank
