@@ -11,6 +11,7 @@ is exact rational text; no floating point appears anywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -63,41 +64,25 @@ def fmt_vec(vec) -> str:
     return "[" + ", ".join(format_rational(Fraction(x)) for x in vec) + "]"
 
 
-def fmt_named(names, vec) -> str:
-    parts = []
-    for i, c in enumerate(vec):
-        c = Fraction(c)
+def _signed_sum(terms) -> str:
+    """c1*label1 + c2*label2 - ... over the nonzero (c, label) pairs; "0" if none."""
+    text = ""
+    for c, label in terms:
         if c == 0:
             continue
-        mag = format_rational(abs(c))
-        body = names[i] if abs(c) == 1 else f"{mag}*{names[i]}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+        body = label if abs(c) == 1 else f"{format_rational(abs(c))}*{label}"
+        sign = "-" if c < 0 else "+"
+        text = f"{text} {sign} {body}" if text else ("-" + body if c < 0 else body)
+    return text or "0"
+
+
+def fmt_named(names, vec) -> str:
+    return _signed_sum((Fraction(c), names[i]) for i, c in enumerate(vec))
 
 
 def fmt_form(form: KForm, names) -> str:
-    parts = []
-    for idx, c in sorted(form.coeffs.items()):
-        label = "^".join(f"{names[i]}*" for i in idx)
-        parts.append((c, label))
-    if not parts:
-        return "0"
-    chunks = []
-    for c, label in parts:
-        mag = format_rational(abs(c))
-        body = label if abs(c) == 1 else f"{mag}*{label}"
-        chunks.append(("-" if c < 0 else "+", body))
-    sign, body = chunks[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _signed_sum((c, "^".join(f"{names[i]}*" for i in idx))
+                       for idx, c in sorted(form.coeffs.items()))
 
 
 def print_witnesses(items, render):
@@ -580,7 +565,9 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The lieaff parser, built on the first call and shared by every later main call."""
     parser = argparse.ArgumentParser(
         prog="lieaff",
         description="Exact verification of affine structures on nilpotent contact Lie algebras",
@@ -590,13 +577,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable JSON output")
+        # By name, looked up in this module when main runs: the parser is built
+        # once per process, and a command rebound later (a tracer, a test's
+        # monkeypatch) is the one that runs.
         p.set_defaults(func=func)
         return p
 
-    p = add("check", cmd_check, "validate an algebra file: Jacobi, nilpotency, center")
+    p = add("check", "cmd_check", "validate an algebra file: Jacobi, nilpotency, center")
     p.add_argument("algebra")
 
-    p = add("contact", cmd_contact, "test or search for a contact form")
+    p = add("contact", "cmd_contact", "test or search for a contact form")
     p.add_argument("algebra")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--form", help="1-form file to test")
@@ -604,22 +594,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attempts", type=int, default=200, help="random attempts for --search")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for --search")
 
-    p = add("quotient", cmd_quotient, "quotient a contact algebra by its center")
+    p = add("quotient", "cmd_quotient", "quotient a contact algebra by its center")
     p.add_argument("algebra")
     p.add_argument("--form", required=True, help="contact 1-form file")
     p.add_argument("--out", help="output prefix for .algebra.json / .theta.json")
 
-    p = add("affine", cmd_affine, "derive the affine structure from a symplectic form")
+    p = add("affine", "cmd_affine", "derive the affine structure from a symplectic form")
     p.add_argument("algebra")
     p.add_argument("--symplectic", required=True, help="symplectic 2-form file")
     p.add_argument("--out", help="write the product table to this file")
 
-    p = add("extend", cmd_extend, "central extension by a closed 2-form")
+    p = add("extend", "cmd_extend", "central extension by a closed 2-form")
     p.add_argument("algebra")
     p.add_argument("--symplectic", required=True, help="closed 2-form file")
     p.add_argument("--out", help="output prefix for .algebra.json")
 
-    p = add("lift", cmd_lift, "test a lifted product on the central extension")
+    p = add("lift", "cmd_lift", "test a lifted product on the central extension")
     p.add_argument("algebra")
     p.add_argument("--symplectic", required=True, help="symplectic 2-form file")
     g = p.add_mutually_exclusive_group(required=True)
@@ -628,12 +618,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--lift", help="lift-data JSON file")
     p.add_argument("--alpha", help="comma-separated central form values (with --half)")
 
-    p = add("solve-lift", cmd_solve_lift, "solve for all admissible lifted products")
+    p = add("solve-lift", "cmd_solve_lift", "solve for all admissible lifted products")
     p.add_argument("algebra")
     p.add_argument("--symplectic", required=True, help="symplectic 2-form file")
     p.add_argument("--alpha", help="comma-separated central form values")
 
-    p = add("catalog", cmd_catalog, "list built-in algebras or emit one to a file")
+    p = add("catalog", "cmd_catalog", "list built-in algebras or emit one to a file")
     p.add_argument("--emit", nargs=2, metavar=("NAME", "FILE"),
                    help="write the named entry to FILE")
 
@@ -641,14 +631,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, which matches our convention
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -38,10 +38,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .liecore import KForm, LieAlgebra, cocycle_defects, integer_gram
+from .liecore import KForm, LieAlgebra, cocycle_defects, integer_brackets, integer_gram
 from .ratlin import (
     Matrix,
     ZERO,
+    fractions_over,
     is_zero_vector,
     kernel_basis,
     scale_to_integers,
@@ -408,33 +409,36 @@ def half_case_residuals(algebra: LieAlgebra, theta: KForm, V, a):
                  - theta(e_i,e_k) a_j - 2 theta(e_i,e_j) a_k  (scalars)
     A first-list residual is the vector part of the lift's curvature on that
     base triple (the canonical nabla is flat), so a nonempty first list rules
-    out flatness.
+    out flatness.  One integer pass, with brackets B over D, Gram matrix G
+    over E and V, a over F, gives 2EF r = G_jk V_i - G_ik V_j - 2 G_ij V_k and
+    DEF s = F sum_q B_ij,q G_qk + D (G_jk a_i - G_ik a_j - 2 G_ij a_k).
     """
     n = algebra.dim
     if theta.degree != 2 or theta.dim != n:
         raise ValueError("need a 2-form on the algebra")
-    V = [list(map(Fraction, col)) for col in V]
-    a = [Fraction(x) for x in a]
-    half = Fraction(1, 2)
+    values, f = scale_to_integers([Fraction(x) for col in V for x in col]
+                                  + [Fraction(x) for x in a])
+    v_int = [values[i * n:(i + 1) * n] for i in range(n)]
+    a_int = values[n * n:]
+    brackets, d = integer_brackets(algebra)
+    gram, e = integer_gram(theta)
     first = []
     second = []
     for i in range(n):
+        g_i, v_i = gram[i], v_int[i]
         for j in range(i + 1, n):
-            tij = theta.pair(i, j)
-            br = algebra.bracket_basis(i, j)
+            g_j, v_j = gram[j], v_int[j]
+            g_ij = 2 * g_i[j]
+            bracket_ij = brackets[i][j]
             for k in range(n):
-                tjk = theta.pair(j, k)
-                tik = theta.pair(i, k)
-                r = vsub(
-                    vsub(vscale(half * tjk, V[i]), vscale(half * tik, V[j])),
-                    vscale(tij, V[k]),
-                )
-                if not is_zero_vector(r):
-                    first.append(((i, j, k), r))
-                s = sum((br[q] * theta.pair(q, k) for q in range(n) if br[q]), ZERO)
-                s += tjk * a[i] - tik * a[j] - 2 * tij * a[k]
+                g_jk, g_ik = g_j[k], g_i[k]
+                r = [g_jk * x - g_ik * y - g_ij * z for x, y, z in zip(v_i, v_j, v_int[k])]
+                if any(r):
+                    first.append(((i, j, k), fractions_over(r, 2 * e * f)))
+                s = (f * sum(c * gram[q][k] for q, c in bracket_ij)
+                     + d * (g_jk * a_int[i] - g_ik * a_int[j] - g_ij * a_int[k]))
                 if s:
-                    second.append(((i, j, k), s))
+                    second.append(((i, j, k), Fraction(s, d * e * f)))
     return first, second
 
 

@@ -21,6 +21,10 @@ lower_central_series hand integer rows built from the same columns to ratlin;
 the reduced row echelon form is unique, so the kernels and echelon bases are
 exactly those of the same computation over Q.
 
+quotient_by_center keeps every basis vector but e_p, p the last index where
+the center generator is nonzero (what a greedy independence scan would keep),
+projects in closed form and runs its reconstruction check in ints.
+
 Indices are 0-based throughout this package; file formats and CLI output use
 1-based indices at the boundary.
 """
@@ -37,12 +41,9 @@ from .ratlin import (
     ZERO,
     echelon_basis,
     fractions_over,
-    invert,
     kernel_basis,
     scale_to_integers,
-    vadd,
     vscale,
-    vsub,
     vzero,
 )
 
@@ -224,9 +225,6 @@ class LieAlgebra:
         return [(t, fractions_over(acc, -d * d))
                 for t, acc in integer_curvature(brackets, brackets, above=True)]
 
-    def is_lie(self) -> bool:
-        return not self.jacobi_defects()
-
     def lower_central_series(self) -> list:
         """g >= [g, g] >= [g, [g, g]] >= ..., strictly decreasing part only.
 
@@ -373,67 +371,59 @@ def cocycle_defects(algebra: LieAlgebra, theta: KForm) -> list:
 
 @dataclass
 class CentralQuotient:
-    """Quotient of an algebra by its 1-dimensional center.
-
-    The section lifts the quotient basis into ker(omega), which is what makes
-    the reconstruction identity [x, y] = section([x, y]_quotient) + theta * T
-    exact.  complement records which standard basis vectors were kept by the
-    deterministic greedy scan.
+    """Quotient of an algebra by its 1-dimensional center, spanned by
+    center_generator t with omega(t) = 1.  complement lists the kept basis
+    indices; section column a is e_k - omega(e_k) t for the a-th kept k, in
+    ker(omega), which makes [x, y] = section([x, y]_quotient) + theta(x, y) t
+    exact.
     """
 
     algebra: LieAlgebra
     theta: KForm
-    projection: Matrix
     center_generator: list
     section: Matrix
     complement: tuple
 
 
 def quotient_by_center(algebra: LieAlgebra, omega: KForm) -> CentralQuotient:
+    """g / Q t for the one-dimensional center Q t, with theta(x, y) = omega([x, y]).
+
+    With p the last index where t is nonzero, the kept basis is every index
+    but p: what a greedy scan keeps that adds e_0, e_1, ... to t whenever they
+    stay independent.  Projecting along t sends e_p to -sum_k (t_k / t_p) e_k,
+    so the quotient bracket and theta come from the integer bracket columns
+    and omega scaled to ints.  The reconstruction identity is then checked in
+    ints on every pair of kept vectors: the section columns are bracketed
+    through the bracket columns and compared with the quotient's bracket and
+    theta, read back from the returned objects.
+    """
     if omega.degree != 1 or omega.dim != algebra.dim:
         raise ValueError("need a 1-form on the algebra")
     n = algebra.dim
     z = algebra.center()
     if z.dim != 1:
         raise ValueError(f"center must be one-dimensional, found dimension {z.dim}")
-    t0 = z.basis[0]
-    val = omega.evaluate([t0])
+    val = omega.evaluate([z.basis[0]])
     if val == 0:
         raise ValueError("form vanishes on the center: not a candidate contact form")
-    t = vscale(ONE / val, t0)
-
-    kept = []
-    current = [t]
-    for i in range(n):
-        cand = current + [algebra.basis_vector(i)]
-        if len(echelon_basis(cand, n)) == len(current) + 1:
-            kept.append(i)
-            current = cand
-        if len(kept) == n - 1:
-            break
-
-    basis_cols = [algebra.basis_vector(i) for i in kept] + [t]
-    binv = invert(Matrix.from_columns(basis_cols))
-    projection = Matrix.from_rows([binv.row(r) for r in range(n - 1)])
-
-    omega_of = [omega.evaluate([algebra.basis_vector(i)]) for i in range(n)]
-    section_cols = [
-        vsub(algebra.basis_vector(i), vscale(omega_of[i], t)) for i in kept
-    ]
-    section = Matrix.from_columns(section_cols)
-
-    constants = {}
-    theta_coeffs = {}
+    t = vscale(ONE / val, z.basis[0])
+    tau, m = scale_to_integers(t)
+    p = max(i for i in range(n) if tau[i])
+    kept = [i for i in range(n) if i != p]
+    omega_int, h = scale_to_integers([omega.coeff((i,)) for i in range(n)])
+    brackets, d = integer_brackets(algebra)
+    constants, theta_coeffs = {}, {}
     for a in range(n - 1):
         for b in range(a + 1, n - 1):
-            w = algebra.bracket(algebra.basis_vector(kept[a]), algebra.basis_vector(kept[b]))
-            q = projection.mul_vec(w)
-            terms = {k: c for k, c in enumerate(q) if c != 0}
+            # for the bracket column W over D: D t_p q_r = t_p W_kr - t_kr W_p
+            w = dict(brackets[kept[a]][kept[b]])
+            terms = {r: tau[p] * w.get(k, 0) - tau[k] * w.get(p, 0) for r, k in enumerate(kept)}
+            terms = {r: Fraction(c, d * tau[p]) for r, c in terms.items() if c}
             if terms:
                 constants[(a, b)] = terms
-            tv = omega.evaluate([w])
+            tv = sum(omega_int[k] * v for k, v in w.items())
             if tv:
-                theta_coeffs[(a, b)] = tv
+                theta_coeffs[(a, b)] = Fraction(tv, d * h)
 
     quotient = LieAlgebra(
         dim=n - 1,
@@ -447,14 +437,28 @@ def quotient_by_center(algebra: LieAlgebra, omega: KForm) -> CentralQuotient:
         raise AssertionError("quotient bracket violates Jacobi; input was not a Lie algebra")
     if cocycle_defects(quotient, theta):
         raise AssertionError("induced 2-form is not closed; input was not a Lie algebra")
+    # S_a = L s_a and L t = H tau over L = H M (omega over H, t = tau / M); with
+    # X = L^2 D [s_a, s_b] and Y = L D' E' (section(q) + theta_ab t) from the
+    # quotient's columns over D' and Gram matrix over E', check X D' E' = Y L D.
+    big = h * m
+    section = [[big * (i == k) - omega_int[k] * x for i, x in enumerate(tau)] for k in kept]
+    sparse = [[(i, v) for i, v in enumerate(col) if v] for col in section]
+    q_brackets, d2 = integer_brackets(quotient)
+    gram, e2 = integer_gram(theta)
     for a in range(n - 1):
         for b in range(a + 1, n - 1):
-            lhs = algebra.bracket(section_cols[a], section_cols[b])
-            rhs = vadd(
-                section.mul_vec(quotient.bracket_basis(a, b)),
-                vscale(theta.pair(a, b), t),
-            )
-            if lhs != rhs:
+            lhs = [0] * n
+            for i, u in sparse[a]:
+                for j, v in sparse[b]:
+                    for k, c in brackets[i][j]:
+                        lhs[k] += u * v * c
+            rhs = [d2 * gram[a][b] * h * x for x in tau]
+            for r, c in q_brackets[a][b]:
+                for i, v in sparse[r]:
+                    rhs[i] += e2 * c * v
+            if any(x * d2 * e2 != y * big * d for x, y in zip(lhs, rhs)):
                 raise AssertionError("reconstruction identity failed")
 
-    return CentralQuotient(quotient, theta, projection, t, section, tuple(kept))
+    return CentralQuotient(quotient, theta, t,
+                           Matrix.from_columns([fractions_over(c, big) for c in section]),
+                           tuple(kept))

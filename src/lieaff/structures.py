@@ -179,8 +179,11 @@ def search_contact_form(algebra: LieAlgebra, attempts: int = 200,
     """Dual basis vectors first, then seeded random 1-forms nonzero on the center.
 
     Forms vanishing on the whole center cannot be contact, so such draws are
-    discarded without spending the attempt budget.
+    discarded without spending the attempt budget.  attempts = 0 runs the
+    dual-basis scan only; a negative budget raises ValueError.
     """
+    if attempts < 0:
+        raise ValueError(f"attempts must be nonnegative, got {attempts}")
     n = algebra.dim
     if n % 2 == 0:
         raise ValueError("contact search needs odd dimension")

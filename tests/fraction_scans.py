@@ -7,8 +7,19 @@ common denominator.
 
 from fractions import Fraction
 
-from lieaff.liecore import Subspace
-from lieaff.ratlin import Matrix, ZERO, invert, is_zero_vector, kernel_basis, vadd, vsub
+from lieaff.liecore import CentralQuotient, KForm, LieAlgebra, Subspace
+from lieaff.ratlin import (
+    Matrix,
+    ONE,
+    ZERO,
+    echelon_basis,
+    invert,
+    is_zero_vector,
+    kernel_basis,
+    vadd,
+    vscale,
+    vsub,
+)
 
 
 def curvature_at(algebra, product, u, v, w):
@@ -112,3 +123,109 @@ def canonical_product_table(algebra, theta):
             if not is_zero_vector(v):
                 table[(i, j)] = tuple(Fraction(x) for x in v)
     return table
+
+
+def greedy_kept(t):
+    """Indices i whose e_i a greedy scan from t keeps: each one independent of t
+    and of the ones kept before it, until n - 1 are kept."""
+    n = len(t)
+    kept, current = [], [t]
+    for i in range(n):
+        cand = current + [[ONE if k == i else ZERO for k in range(n)]]
+        if len(echelon_basis(cand, n)) == len(current) + 1:
+            kept.append(i)
+            current = cand
+        if len(kept) == n - 1:
+            break
+    return kept
+
+
+def quotient_by_center(algebra, omega):
+    """The quotient by the center in Fractions: greedy kept basis, the inverted
+    change of basis as projection, brackets and the reconstruction check
+    through LieAlgebra.bracket and Matrix.mul_vec."""
+    n = algebra.dim
+    z = center(algebra)
+    if z.dim != 1:
+        raise ValueError(f"center must be one-dimensional, found dimension {z.dim}")
+    t0 = z.basis[0]
+    val = omega.evaluate([t0])
+    if val == 0:
+        raise ValueError("form vanishes on the center: not a candidate contact form")
+    t = vscale(ONE / val, t0)
+    kept = greedy_kept(t)
+
+    basis_cols = [algebra.basis_vector(i) for i in kept] + [t]
+    binv = invert(Matrix.from_columns(basis_cols))
+    projection = Matrix.from_rows([binv.row(r) for r in range(n - 1)])
+
+    omega_of = [omega.evaluate([algebra.basis_vector(i)]) for i in range(n)]
+    section_cols = [
+        vsub(algebra.basis_vector(i), vscale(omega_of[i], t)) for i in kept
+    ]
+    section = Matrix.from_columns(section_cols)
+
+    constants = {}
+    theta_coeffs = {}
+    for a in range(n - 1):
+        for b in range(a + 1, n - 1):
+            w = algebra.bracket(algebra.basis_vector(kept[a]), algebra.basis_vector(kept[b]))
+            q = projection.mul_vec(w)
+            terms = {k: c for k, c in enumerate(q) if c != 0}
+            if terms:
+                constants[(a, b)] = terms
+            tv = omega.evaluate([w])
+            if tv:
+                theta_coeffs[(a, b)] = tv
+
+    quotient = LieAlgebra(
+        dim=n - 1,
+        basis_names=tuple(algebra.basis_names[i] for i in kept),
+        constants=constants,
+        name=f"{algebra.name}/center" if algebra.name else "",
+    )
+    theta = KForm(2, n - 1, theta_coeffs)
+
+    if jacobi_defects(quotient):
+        raise AssertionError("quotient bracket violates Jacobi; input was not a Lie algebra")
+    if cocycle_defects(quotient, theta):
+        raise AssertionError("induced 2-form is not closed; input was not a Lie algebra")
+    for a in range(n - 1):
+        for b in range(a + 1, n - 1):
+            lhs = algebra.bracket(section_cols[a], section_cols[b])
+            rhs = vadd(
+                section.mul_vec(quotient.bracket_basis(a, b)),
+                vscale(theta.pair(a, b), t),
+            )
+            if lhs != rhs:
+                raise AssertionError("reconstruction identity failed")
+
+    return CentralQuotient(quotient, theta, t, section, tuple(kept))
+
+
+def half_case_residuals(algebra, theta, V, a):
+    """The vector and scalar relations of the phi = theta/2 case, triple by triple."""
+    n = algebra.dim
+    V = [list(map(Fraction, col)) for col in V]
+    a = [Fraction(x) for x in a]
+    half = Fraction(1, 2)
+    first = []
+    second = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            tij = theta.pair(i, j)
+            br = algebra.bracket_basis(i, j)
+            for k in range(n):
+                tjk = theta.pair(j, k)
+                tik = theta.pair(i, k)
+                r = vsub(
+                    vsub(vscale(half * tjk, V[i]), vscale(half * tik, V[j])),
+                    vscale(tij, V[k]),
+                )
+                if not is_zero_vector(r):
+                    first.append(((i, j, k), r))
+                s = sum((br[q] * theta.pair(q, k) for q in range(n) if br[q]), ZERO)
+                s += tjk * a[i] - tik * a[j] - 2 * tij * a[k]
+                if s:
+                    second.append(((i, j, k), s))
+    return first, second

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from lieaff import fileio
+from lieaff import cli, fileio
 from lieaff.catalog import entries, get
 from lieaff.cli import main
 from lieaff.extension import LiftData
@@ -130,6 +130,47 @@ def test_contact_search_not_found_probabilistic(capsys, files):
     assert code == 1
     assert "no contact form found (probabilistic)" in out
     assert "seed: 7" in out
+
+
+@pytest.mark.parametrize("name", ["h3", "h3xr2"])
+def test_contact_search_negative_attempts_exit_2(capsys, files, name):
+    code, out, err = run(capsys, "contact", files[name], "--search", "--attempts", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: attempts must be nonnegative, got -5\n"
+
+
+def test_contact_search_zero_attempts_scans_the_dual_basis_only(capsys, files):
+    code, out, _ = run(capsys, "contact", files["h3"], "--search", "--attempts", "0")
+    assert code == 0
+    assert "e3*" in out
+    code, out, _ = run(capsys, "contact", files["h3xr2"], "--search", "--attempts", "0")
+    assert code == 1
+    assert "random attempts used: 0" in out
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, files):
+    # The parser is built once per process: options given to one call must
+    # not leak into the next.
+    calls = [["contact", files["h3xr2"], "--search", "--seed", "5", "--attempts", "3"],
+             ["contact", files["h3xr2"], "--search"]]
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "lieaff", *argv],
+                              capture_output=True, text=True, timeout=120)
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh
+    assert "seed: 20177" in fresh[1][1] and "random attempts used: 200" in fresh[1][1]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_dispatch_runs_the_command_bound_on_the_module(capsys, files, monkeypatch):
+    run(capsys, "check", files["h3"])  # the parser exists before the rebinding
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.algebra) or 7)
+    assert main(["check", files["h3"]]) == 7
+    assert seen == [files["h3"]]
 
 
 def test_quotient_h3(capsys, files, tmp_path):

@@ -1,10 +1,10 @@
 """The integer scans against their Fraction references (tests/fraction_scans.py).
 
-Curvature, Jacobi, center, lower central series, 2-cocycle defects and the
-canonical product run on integer columns over one common denominator; each
-must give the same triples, in the same order, with equal Fraction values.
-The tables are drawn with mixed denominators, need not satisfy Jacobi, and
-include the empty ones.
+Curvature, Jacobi, center, lower central series, 2-cocycle defects, the
+canonical product, the quotient by the center and the half-case residuals run
+on integer columns over one common denominator; each must give the same
+triples, in the same order, with equal Fraction values.  The tables are drawn
+with mixed denominators, need not satisfy Jacobi, and include the empty ones.
 """
 
 from fractions import Fraction
@@ -13,8 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_scans as ref
-from lieaff.catalog import entries, symplectic_entries
-from lieaff.liecore import KForm, LieAlgebra, cocycle_defects
+from lieaff import liecore
+from lieaff.catalog import contact_entries, entries, get, symplectic_entries
+from lieaff.extension import (
+    LiftData,
+    _base_tables,
+    _phi_condition_values,
+    central_extend,
+    half_case_residuals,
+)
+from lieaff.liecore import KForm, LieAlgebra, cocycle_defects, quotient_by_center
 from lieaff.ratlin import Matrix, invert
 from lieaff.structures import BilinearProduct, affine_from_symplectic, curvature, verify_affine
 
@@ -101,6 +109,20 @@ def test_empty_tables():
         assert curvature(algebra, BilinearProduct.zero(n)) == []
 
 
+def skew_basis(data, n, full=True):
+    """Columns of a product of two unit triangular matrices with drawn rational
+    entries, upper times lower; with full unset, of the upper factor alone."""
+    def unit_triangular(lower):
+        return [[Fraction(int(i == k)) if (k < i) != lower or i == k else data.draw(rationals)
+                 for k in range(n)] for i in range(n)]
+
+    low = unit_triangular(True)
+    up = unit_triangular(False) if full else [[Fraction(int(i == k)) for k in range(n)]
+                                              for i in range(n)]
+    return [[sum(low[r][k] * up[i][r] for r in range(n)) for k in range(n)]
+            for i in range(n)]
+
+
 def changed_basis(algebra, columns):
     """The same algebra in the basis f_i = sum_k columns[i][k] e_k."""
     n = algebra.dim
@@ -121,16 +143,7 @@ def test_scans_in_a_skew_basis_match_fraction_references(name, data):
     # rational entries, moves the center and the lower central series off
     # the coordinate axes.
     algebra = next(e for e in entries() if e.name == name).algebra
-    n = algebra.dim
-
-    def unit_triangular(lower):
-        return [[Fraction(int(i == k)) if (k < i) != lower or i == k else data.draw(rationals)
-                 for k in range(n)] for i in range(n)]
-
-    low, up = unit_triangular(True), unit_triangular(False)
-    columns = [[sum(low[r][k] * up[i][r] for r in range(n)) for k in range(n)]
-               for i in range(n)]
-    algebra = changed_basis(algebra, columns)
+    algebra = changed_basis(algebra, skew_basis(data, algebra.dim))
     assert_same_defects(algebra.jacobi_defects(), ref.jacobi_defects(algebra))
     assert_same_subspace(algebra.center(), ref.center(algebra))
     got, want = algebra.lower_central_series(), ref.lower_central_series(algebra)
@@ -166,3 +179,150 @@ def test_canonical_product_matches_fraction_solve(name, data):
     bent[(i, j)] = [x + Fraction(1, 3) for x in col]
     bent = BilinearProduct(n, bent)
     assert_same_defects(curvature(algebra, bent), ref.curvature_scan(algebra, bent))
+
+
+# ---------------------------------------------------------------------------
+# the quotient by the center and the half-case residuals
+
+
+def heisenberg(dim):
+    return LieAlgebra(dim=dim, constants={(2 * i, 2 * i + 1): {dim - 1: 1}
+                                          for i in range(dim // 2)}, name=f"h{dim}")
+
+
+CONTACT_CASES = [e.name for e in contact_entries()] + \
+    [f"{e.name}-ext" for e in symplectic_entries()] + ["h9"]
+
+
+def contact_case(name, data):
+    """A contact algebra with a contact form, in a random basis P S.
+
+    "<base>-ext" is the central extension of a symplectic catalog entry,
+    rescaled with mixed denominators and with its 2-form scaled; the contact
+    form is the dual of the new central vector.  P permutes the coordinates
+    and S is skew_basis, full or upper triangular: under the full one the
+    center generator is dense; under the upper one its last nonzero index is
+    wherever P sends the old center.  The form is scaled by a drawn nonzero
+    rational.
+    """
+    if name == "h9":
+        algebra, omega = heisenberg(9), KForm.dual(9, 8)
+    elif name.endswith("-ext"):
+        entry = get(name[:-4])
+        n = entry.algebra.dim
+        base, theta = rescaled(entry.algebra, entry.symplectic_form,
+                               data.draw(st.lists(nonzero, min_size=n, max_size=n)))
+        algebra = central_extend(base, theta.scaled(data.draw(nonzero))).extended
+        omega = KForm.dual(n + 1, n)
+    else:
+        entry = get(name)
+        algebra, omega = entry.algebra, entry.contact_form
+    n = algebra.dim
+    order = data.draw(st.permutations(range(n)))
+    columns = [[col[order[k]] for k in range(n)]
+               for col in skew_basis(data, n, full=data.draw(st.booleans()))]
+    omega = KForm(1, n, {(i,): sum(c * omega.coeff((k,)) for k, c in enumerate(col))
+                         for i, col in enumerate(columns)})
+    return changed_basis(algebra, columns), omega.scaled(data.draw(nonzero))
+
+
+def assert_same_quotient(got, want):
+    assert list(got.algebra.constants.items()) == list(want.algebra.constants.items())
+    assert all(type(c) is Fraction for terms in got.algebra.constants.values()
+               for c in terms.values())
+    assert (got.algebra.dim, got.algebra.basis_names, got.algebra.name) == \
+        (want.algebra.dim, want.algebra.basis_names, want.algebra.name)
+    assert list(got.theta.coeffs.items()) == list(want.theta.coeffs.items())
+    assert all(type(c) is Fraction for c in got.theta.coeffs.values())
+    assert got.center_generator == want.center_generator
+    assert all(type(x) is Fraction for x in got.center_generator)
+    assert got.section == want.section
+    assert all(type(x) is Fraction for x in got.section.entries)
+    assert got.complement == want.complement
+
+
+@pytest.mark.parametrize("name", CONTACT_CASES)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_quotient_matches_fraction_reference(name, data):
+    algebra, omega = contact_case(name, data)
+    assert_same_quotient(quotient_by_center(algebra, omega),
+                         ref.quotient_by_center(algebra, omega))
+
+
+@pytest.mark.parametrize("name", CONTACT_CASES)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_kept_basis_is_the_greedy_scan(name, data):
+    # every index but the last one where the center generator is nonzero
+    algebra, omega = contact_case(name, data)
+    quot = quotient_by_center(algebra, omega)
+    t = quot.center_generator
+    p = max(i for i, x in enumerate(t) if x)
+    assert quot.complement == tuple(i for i in range(algebra.dim) if i != p)
+    assert quot.complement == tuple(ref.greedy_kept(t))
+
+
+def _doubled_theta(degree, dim, coeffs):
+    return KForm(degree, dim, {idx: 2 * c for idx, c in coeffs.items()})
+
+
+def _extra_bracket(dim, basis_names, constants, name):
+    # [f1, f2] gains f1: still Lie, and theta stays closed on h5/center
+    constants = dict(constants)
+    constants[(0, 1)] = {**constants.get((0, 1), {}), 0: Fraction(1)}
+    return LieAlgebra(dim=dim, basis_names=basis_names, constants=constants, name=name)
+
+
+@pytest.mark.parametrize("attr, fake", [("KForm", _doubled_theta),
+                                        ("LieAlgebra", _extra_bracket)])
+def test_reconstruction_check_catches_a_wrong_quotient(monkeypatch, attr, fake):
+    # A quotient that passes Jacobi and the cocycle test but does not rebuild
+    # the algebra: only the reconstruction check can refuse it.
+    monkeypatch.setattr(liecore, attr, fake)
+    with pytest.raises(AssertionError, match="reconstruction identity failed"):
+        quotient_by_center(get("h5").algebra, get("h5").contact_form)
+
+
+def vectors(n):
+    return st.lists(rationals, min_size=n, max_size=n)
+
+
+def assert_same_residuals(got, want):
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert_same_defects(g, w)
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_half_case_residuals_match_fraction_reference(data):
+    algebra = data.draw(algebras(min_dim=2))
+    n = algebra.dim
+    theta = data.draw(two_forms(n))
+    V = data.draw(st.lists(vectors(n), min_size=n, max_size=n))
+    a = data.draw(vectors(n))
+    assert_same_residuals(half_case_residuals(algebra, theta, V, a),
+                          ref.half_case_residuals(algebra, theta, V, a))
+
+
+@pytest.mark.parametrize("name", CONTACT_CASES)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_half_case_on_symplectic_quotients(name, data):
+    # the quotient of a contact algebra by its center is a symplectic base:
+    # both lists match the reference, and the second is 2 C_a at phi = theta/2
+    # for the canonical nabla
+    algebra, omega = contact_case(name, data)
+    quot = quotient_by_center(algebra, omega)
+    base, theta = quot.algebra, quot.theta
+    n = base.dim
+    zero = [[0] * n] * n
+    V = data.draw(st.one_of(st.just(zero), st.lists(vectors(n), min_size=n, max_size=n)))
+    a = data.draw(st.one_of(st.just([0] * n), vectors(n)))
+    got = half_case_residuals(base, theta, V, a)
+    assert_same_residuals(got, ref.half_case_residuals(base, theta, V, a))
+    nabla = affine_from_symplectic(base, theta)
+    values, den = _phi_condition_values(*_base_tables(base, theta, nabla, a),
+                                        LiftData.half_cocycle(theta, a))
+    assert got[1] == [(t, 2 * Fraction(v, den)) for t, v in values.items() if v]
