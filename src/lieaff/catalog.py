@@ -3,11 +3,13 @@
 Every valid entry is a nilpotent Lie algebra; the single invalid entry is a
 deliberate Jacobi violation kept for exercising the validator.  Distinguished
 contact / symplectic forms are attached where the entry has a canonical one.
+The entries are built once per process and shared by every lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Optional
 
@@ -16,7 +18,7 @@ from .liecore import KForm, LieAlgebra
 ONE = Fraction(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     algebra: LieAlgebra
@@ -30,7 +32,8 @@ def _abelian(name: str, dim: int) -> LieAlgebra:
     return LieAlgebra(dim=dim, constants={}, name=name)
 
 
-def _entries() -> list:
+@cache
+def _entries() -> tuple:
     out = []
     out.append(CatalogEntry(
         "r2", _abelian("r2", 2), None, KForm(2, 2, {(0, 1): ONE}),
@@ -104,11 +107,11 @@ def _entries() -> list:
         "structure constants violating Jacobi; negative control for the validator",
         valid=False,
     ))
-    return out
+    return tuple(out)
 
 
 def entries() -> list:
-    return _entries()
+    return list(_entries())
 
 
 def get(name: str) -> CatalogEntry:

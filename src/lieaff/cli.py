@@ -1,11 +1,17 @@
 """Command-line front end.
 
+Each command computes one payload, a JSON-ready dict, and that payload is its
+output: --json prints it as JSON, and otherwise the command's TEXT renderer
+prints the same facts as lines.  A renderer reads nothing but the payload
+and the basis names of the input algebra, which the payload leaves to the
+indices.
+
 Exit codes mean exactly one thing each: 0 = the property the command
 evaluates is confirmed, 1 = refuted with exact witnesses printed, 2 = the
-inputs violate the command's contract (unreadable files, malformed data,
-wrong-shaped forms, preconditions), 3 = internal error: an exception
-escaped a command, which is a bug and never a verdict.  All numeric output
-is exact rational text; no floating point appears anywhere.
+inputs violate the command's contract (unreadable or unwritable files,
+malformed data, wrong-shaped forms, preconditions), 3 = internal error: an
+exception escaped a command, which is a bug and never a verdict.  All
+numeric output is exact rational text; no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -27,8 +33,7 @@ from .extension import (
     solve_lift_with_alpha,
     theorem_verdict,
 )
-from .fileio import ParseError
-from .liecore import KForm, LieAlgebra
+from .liecore import KForm, LieAlgebra, quotient_by_center
 from .ratlin import format_rational, parse_rational
 from .structures import (
     DEFAULT_SEED,
@@ -54,73 +59,117 @@ class CommandError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# formatting helpers (1-based indices at this boundary)
+# payload pieces (1-based indices, exact rational text)
 
 def one_based(tup):
     return tuple(x + 1 for x in tup)
 
 
-def fmt_vec(vec) -> str:
-    return "[" + ", ".join(format_rational(Fraction(x)) for x in vec) + "]"
+def rationals(values) -> list:
+    return [format_rational(x) for x in values]
 
 
-def _signed_sum(terms) -> str:
-    """c1*label1 + c2*label2 - ... over the nonzero (c, label) pairs; "0" if none."""
-    text = ""
-    for c, label in terms:
-        if c == 0:
-            continue
-        body = label if abs(c) == 1 else f"{format_rational(abs(c))}*{label}"
-        sign = "-" if c < 0 else "+"
-        text = f"{text} {sign} {body}" if text else ("-" + body if c < 0 else body)
-    return text or "0"
+def _witness(w) -> dict:
+    """{"at", "value"}: an index tuple with its exact value (a rational or a
+    vector of them), or a component tag ("V", i), ("W0",), ("rho",) with None."""
+    if isinstance(w[0], tuple):
+        value = w[1]
+        return {"at": list(one_based(w[0])),
+                "value": rationals(value) if isinstance(value, list) else format_rational(value)}
+    return {"at": ["V", w[1] + 1] if w[0] == "V" else [w[0]], "value": None}
 
 
-def fmt_named(names, vec) -> str:
-    return _signed_sum((Fraction(c), names[i]) for i, c in enumerate(vec))
-
-
-def fmt_form(form: KForm, names) -> str:
-    return _signed_sum((c, "^".join(f"{names[i]}*" for i in idx))
-                       for idx, c in sorted(form.coeffs.items()))
-
-
-def print_witnesses(items, render):
-    for idx, item in enumerate(items):
-        if idx == MAX_WITNESS_LINES:
-            print(f"  ... and {len(items) - MAX_WITNESS_LINES} more")
-            return
-        print("  " + render(item))
-
-
-def witness_payload(items, value_render):
-    return [
-        {"at": list(one_based(t)), "value": value_render(v)}
-        for t, v in items
-    ]
-
-
-def defect_value_render(v):
-    if isinstance(v, list):
-        return [format_rational(x) for x in v]
-    return format_rational(v)
+def witnesses(items) -> list:
+    return [_witness(w) for w in items]
 
 
 # ---------------------------------------------------------------------------
-# loading helpers
+# text rendering of payload pieces
 
-def _load_algebra(path: str) -> LieAlgebra:
+def _yes(flag) -> str:
+    return "yes" if flag else "no"
+
+
+def _vec_text(values) -> str:
+    return "[" + ", ".join(values) + "]"
+
+
+def _witness_lines(items):
+    """One line per payload witness, the first MAX_WITNESS_LINES of them."""
+    for w in items[:MAX_WITNESS_LINES]:
+        at, value = w["at"], w["value"]
+        if value is None:
+            yield "  " + "_".join(str(x) for x in at) + " != 0"
+        else:
+            yield f"  {tuple(at)}: {_vec_text(value) if isinstance(value, list) else value}"
+    if len(items) > MAX_WITNESS_LINES:
+        yield f"  ... and {len(items) - MAX_WITNESS_LINES} more"
+
+
+def _signed_sum(terms) -> str:
+    """c1*label1 + c2*label2 - ... over (rational text, label) pairs; "0" if all vanish."""
+    text = ""
+    for c, label in terms:
+        if c == "0":
+            continue
+        negative = c.startswith("-")
+        magnitude = c[1:] if negative else c
+        body = label if magnitude == "1" else f"{magnitude}*{label}"
+        if text:
+            text = f"{text} {'-' if negative else '+'} {body}"
+        else:
+            text = "-" + body if negative else body
+    return text or "0"
+
+
+def fmt_named(names, values) -> str:
+    return _signed_sum(zip(values, names))
+
+
+def fmt_form(form: dict, names) -> str:
+    """A form_to_dict payload as a signed sum of wedges of dual basis vectors."""
+    return _signed_sum((t["c"], "^".join(f"{names[i - 1]}*" for i in t["idx"]))
+                       for t in form["coeffs"])
+
+
+def _emit(args, code: int, payload: dict, names=()) -> int:
+    """Print the payload, as JSON with --json and as its TEXT lines otherwise."""
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in TEXT[payload["command"]](payload, names):
+            print(line)
+    return code
+
+
+# ---------------------------------------------------------------------------
+# inputs and outputs
+
+def _usage(call, *args, **kwargs):
+    """call(*args, **kwargs), where a ValueError or OSError means the inputs break
+    the command's contract: a file that cannot be read, parsed or written, or
+    a precondition the call checks."""
     try:
-        return fileio.load_algebra(path)
-    except (ParseError, OSError) as exc:
+        return call(*args, **kwargs)
+    except (ValueError, OSError) as exc:
         raise CommandError(EXIT_USAGE, str(exc)) from None
+
+
+def _load_lie(path: str) -> LieAlgebra:
+    algebra = _usage(fileio.load_algebra, path)
+    defects = algebra.jacobi_defects()
+    if defects:
+        w = _witness(defects[0])
+        raise CommandError(
+            EXIT_USAGE,
+            f"{path}: structure constants violate Jacobi at triple "
+            f"{tuple(w['at'])} with defect {_vec_text(w['value'])}",
+        )
+    return algebra
 
 
 def _load_form(path: str, algebra: LieAlgebra, degree: int) -> KForm:
-    try:
-        form = fileio.load_form(path)
-    except (ParseError, OSError) as exc:
-        raise CommandError(EXIT_USAGE, str(exc)) from None
+    form = _usage(fileio.load_form, path)
     if form.dim != algebra.dim:
         raise CommandError(EXIT_USAGE,
                            f"{path}: form dimension {form.dim} does not match algebra "
@@ -128,17 +177,6 @@ def _load_form(path: str, algebra: LieAlgebra, degree: int) -> KForm:
     if form.degree != degree:
         raise CommandError(EXIT_USAGE, f"{path}: expected a {degree}-form, got degree {form.degree}")
     return form
-
-
-def _require_lie(algebra: LieAlgebra, path: str) -> None:
-    defects = algebra.jacobi_defects()
-    if defects:
-        (i, j, k), vec = defects[0]
-        raise CommandError(
-            EXIT_USAGE,
-            f"{path}: structure constants violate Jacobi at triple "
-            f"{one_based((i, j, k))} with defect {fmt_vec(vec)}",
-        )
 
 
 def _parse_alpha(text: str, dim: int):
@@ -150,125 +188,6 @@ def _parse_alpha(text: str, dim: int):
         return [parse_rational(p) for p in parts]
     except ValueError as exc:
         raise CommandError(EXIT_USAGE, f"--alpha: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-def cmd_check(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    defects = algebra.jacobi_defects()
-    payload = {"command": "check", "name": algebra.name, "dim": algebra.dim,
-               "jacobi": not defects}
-    if defects:
-        payload["defects"] = witness_payload(defects, defect_value_render)
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"jacobi: FAIL ({len(defects)} defect triples)")
-            print_witnesses(defects, lambda d: f"{one_based(d[0])}: {fmt_vec(d[1])}")
-        return EXIT_REFUTED
-    series = algebra.lower_central_series()
-    dims = [s.dim for s in series]
-    nilpotent = dims[-1] == 0
-    center = algebra.center()
-    gens = [fmt_named(algebra.basis_names, b) for b in center.basis]
-    payload.update({
-        "lcs": dims,
-        "nilpotent": nilpotent,
-        "center_dim": center.dim,
-        "center_generators": gens,
-    })
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print("jacobi: ok")
-        print(f"lcs: {dims}")
-        print(f"nilpotent: {'yes' if nilpotent else 'no'}")
-        print(f"center: dim {center.dim} ({', '.join(gens) if gens else '-'})")
-    return EXIT_OK
-
-
-def cmd_contact(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    _require_lie(algebra, args.algebra)
-    if algebra.dim % 2 == 0:
-        raise CommandError(EXIT_USAGE,
-                           f"contact test needs odd dimension, algebra has dim {algebra.dim}")
-    if args.form:
-        form = _load_form(args.form, algebra, 1)
-        report = contact_test(algebra, form)
-        payload = {"command": "contact", "mode": "form",
-                   **fileio.contact_report_to_dict(report)}
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"scalar = {format_rational(report.scalar)}")
-            print(f"contact: {'yes' if report.is_contact else 'no'}")
-        return EXIT_OK if report.is_contact else EXIT_REFUTED
-
-    try:
-        outcome = search_contact_form(algebra, attempts=args.attempts, seed=args.seed)
-    except ValueError as exc:
-        raise CommandError(EXIT_USAGE, str(exc)) from None
-    payload = {"command": "contact", "mode": "search", "seed": outcome.seed,
-               "random_attempts": outcome.attempts,
-               "found": None if outcome.found is None
-               else fileio.contact_report_to_dict(outcome.found)}
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK if outcome.found else EXIT_REFUTED
-    print(f"seed: {outcome.seed}")
-    print(f"random attempts used: {outcome.attempts}")
-    if outcome.found:
-        print(f"contact form: {fmt_form(outcome.found.form, algebra.basis_names)}")
-        print(f"scalar = {format_rational(outcome.found.scalar)}")
-        return EXIT_OK
-    print("no contact form found (probabilistic)")
-    return EXIT_REFUTED
-
-
-def cmd_quotient(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    _require_lie(algebra, args.algebra)
-    if algebra.dim % 2 == 0:
-        raise CommandError(EXIT_USAGE, "quotient needs an odd-dimensional contact algebra")
-    form = _load_form(args.form, algebra, 1)
-    report = contact_test(algebra, form)
-    if not report.is_contact:
-        raise CommandError(EXIT_USAGE,
-                           "form is not a contact form on this algebra (scalar = 0)")
-    from .liecore import quotient_by_center
-    try:
-        quot = quotient_by_center(algebra, form)
-    except ValueError as exc:
-        raise CommandError(EXIT_USAGE, str(exc)) from None
-    sym = symplectic_check(quot.algebra, quot.theta)
-    payload = {
-        "command": "quotient",
-        "quotient": fileio.algebra_to_dict(quot.algebra),
-        "theta": fileio.form_to_dict(quot.theta),
-        "kept_basis": [i + 1 for i in quot.complement],
-        "center_generator": [format_rational(x) for x in quot.center_generator],
-        "symplectic": {"nondegenerate": sym.nondegenerate, "closed": sym.closed,
-                       "rank": sym.rank},
-    }
-    if args.out:
-        fileio.save_algebra(f"{args.out}.algebra.json", quot.algebra)
-        fileio.save_form(f"{args.out}.theta.json", quot.theta)
-        payload["files"] = [f"{args.out}.algebra.json", f"{args.out}.theta.json"]
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"quotient dim: {quot.algebra.dim}")
-        print(f"kept basis vectors: {[i + 1 for i in quot.complement]}")
-        print(f"center generator: {fmt_named(algebra.basis_names, quot.center_generator)}")
-        print(f"theta: {fmt_form(quot.theta, quot.algebra.basis_names)}")
-        print(f"symplectic: nondegenerate={'yes' if sym.nondegenerate else 'no'} "
-              f"closed={'yes' if sym.closed else 'no'}")
-        if args.out:
-            print(f"wrote {args.out}.algebra.json and {args.out}.theta.json")
-    return EXIT_OK if sym.is_symplectic else EXIT_REFUTED
 
 
 def _build_nabla(algebra: LieAlgebra, theta: KForm):
@@ -286,13 +205,79 @@ def _build_nabla(algebra: LieAlgebra, theta: KForm):
     return affine_from_symplectic(algebra, theta)
 
 
+# ---------------------------------------------------------------------------
+# commands: each computes its payload and ends in _emit
+
+def cmd_check(args) -> int:
+    algebra = _usage(fileio.load_algebra, args.algebra)
+    defects = algebra.jacobi_defects()
+    payload = {"command": "check", "name": algebra.name, "dim": algebra.dim,
+               "jacobi": not defects}
+    if defects:
+        payload["defects"] = witnesses(defects)
+        return _emit(args, EXIT_REFUTED, payload)
+    dims = [s.dim for s in algebra.lower_central_series()]
+    center = algebra.center()
+    payload.update({
+        "lcs": dims,
+        "nilpotent": dims[-1] == 0,
+        "center_dim": center.dim,
+        "center_generators": [fmt_named(algebra.basis_names, rationals(b)) for b in center.basis],
+    })
+    return _emit(args, EXIT_OK, payload)
+
+
+def cmd_contact(args) -> int:
+    algebra = _load_lie(args.algebra)
+    if algebra.dim % 2 == 0:
+        raise CommandError(EXIT_USAGE,
+                           f"contact test needs odd dimension, algebra has dim {algebra.dim}")
+    if args.form:
+        report = contact_test(algebra, _load_form(args.form, algebra, 1))
+        payload = {"command": "contact", "mode": "form",
+                   **fileio.contact_report_to_dict(report)}
+        return _emit(args, EXIT_OK if report.is_contact else EXIT_REFUTED, payload)
+    outcome = _usage(search_contact_form, algebra, attempts=args.attempts, seed=args.seed)
+    payload = {"command": "contact", "mode": "search", "seed": outcome.seed,
+               "random_attempts": outcome.attempts,
+               "found": None if outcome.found is None
+               else fileio.contact_report_to_dict(outcome.found)}
+    return _emit(args, EXIT_OK if outcome.found else EXIT_REFUTED, payload,
+                 algebra.basis_names)
+
+
+def cmd_quotient(args) -> int:
+    algebra = _load_lie(args.algebra)
+    if algebra.dim % 2 == 0:
+        raise CommandError(EXIT_USAGE, "quotient needs an odd-dimensional contact algebra")
+    form = _load_form(args.form, algebra, 1)
+    if not contact_test(algebra, form).is_contact:
+        raise CommandError(EXIT_USAGE,
+                           "form is not a contact form on this algebra (scalar = 0)")
+    quot = _usage(quotient_by_center, algebra, form)
+    sym = symplectic_check(quot.algebra, quot.theta)
+    payload = {
+        "command": "quotient",
+        "quotient": fileio.algebra_to_dict(quot.algebra),
+        "theta": fileio.form_to_dict(quot.theta),
+        "kept_basis": [i + 1 for i in quot.complement],
+        "center_generator": rationals(quot.center_generator),
+        "symplectic": {"nondegenerate": sym.nondegenerate, "closed": sym.closed,
+                       "rank": sym.rank},
+    }
+    if args.out:
+        payload["files"] = [f"{args.out}.algebra.json", f"{args.out}.theta.json"]
+        _usage(fileio.save_algebra, payload["files"][0], quot.algebra)
+        _usage(fileio.save_form, payload["files"][1], quot.theta)
+    return _emit(args, EXIT_OK if sym.is_symplectic else EXIT_REFUTED, payload,
+                 algebra.basis_names)
+
+
 def cmd_affine(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    _require_lie(algebra, args.algebra)
+    algebra = _load_lie(args.algebra)
     if algebra.dim % 2 != 0:
         raise CommandError(EXIT_USAGE, "affine structure from a symplectic form needs even dimension")
-    theta = _load_form(args.symplectic, algebra, 2)
-    nabla = _build_nabla(algebra, theta)
+    nabla = _build_nabla(algebra, _load_form(args.symplectic, algebra, 2))
     report = verify_affine(algebra, nabla)
     payload = {
         "command": "affine",
@@ -301,114 +286,34 @@ def cmd_affine(args) -> int:
         "curvature_defects": len(report.curvature_defects),
     }
     if args.out:
-        fileio.save_product(args.out, nabla)
         payload["file"] = args.out
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        names = algebra.basis_names
-        if nabla.table:
-            for (i, j), col in sorted(nabla.table.items()):
-                print(f"nabla({names[i]}, {names[j]}) = {fmt_named(names, col)}")
-        else:
-            print("nabla = 0")
-        print(f"torsion defects: {len(report.torsion_defects)}; "
-              f"curvature defects: {len(report.curvature_defects)}")
-        if args.out:
-            print(f"wrote {args.out}")
-    return EXIT_OK if report.is_affine else EXIT_REFUTED
+        _usage(fileio.save_product, args.out, nabla)
+    return _emit(args, EXIT_OK if report.is_affine else EXIT_REFUTED, payload,
+                 algebra.basis_names)
 
 
 def cmd_extend(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    _require_lie(algebra, args.algebra)
+    algebra = _load_lie(args.algebra)
     if algebra.dim % 2 != 0:
         raise CommandError(EXIT_USAGE,
                            "extension with contact readback needs an even-dimensional base")
-    theta = _load_form(args.symplectic, algebra, 2)
-    try:
-        ext = central_extend(algebra, theta)
-    except ValueError as exc:
-        raise CommandError(EXIT_USAGE, str(exc)) from None
-    extended = ext.extended
-    report = contact_test(extended, KForm.dual(extended.dim, extended.dim - 1))
+    ext = _usage(central_extend, algebra, _load_form(args.symplectic, algebra, 2))
     payload = {
         "command": "extend",
-        "extension": fileio.algebra_to_dict(extended),
-        "contact": fileio.contact_report_to_dict(report),
+        "extension": fileio.algebra_to_dict(ext.extended),
+        "contact": fileio.contact_report_to_dict(ext.contact),
     }
     if args.out:
-        fileio.save_algebra(f"{args.out}.algebra.json", extended)
         payload["files"] = [f"{args.out}.algebra.json"]
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        names = extended.basis_names
-        print(f"extension dim: {extended.dim} (central vector {names[-1]})")
-        for (i, j) in sorted(extended.constants):
-            print(f"[{names[i]}, {names[j]}] = "
-                  f"{fmt_named(names, extended.bracket_basis(i, j))}")
-        print(f"contact scalar for {names[-1]}*: {format_rational(report.scalar)}")
-        print(f"contact: {'yes' if report.is_contact else 'no'}")
-        if args.out:
-            print(f"wrote {args.out}.algebra.json")
-    return EXIT_OK if report.is_contact else EXIT_REFUTED
-
-
-def _condition_witness(w):
-    """(at, value), 1-based: an index tuple with its rendered residual, or a
-    component tag ("V", i), ("W0",), ("rho",) with None."""
-    if isinstance(w[0], tuple):
-        return list(one_based(w[0])), defect_value_render(w[1])
-    if w[0] == "V":
-        return ["V", w[1] + 1], None
-    return [w[0]], None
-
-
-def _condition_payload(verdict):
-    return [
-        {"name": c.name, "passed": c.passed,
-         "witnesses": [{"at": at, "value": value}
-                       for at, value in map(_condition_witness, c.witnesses)]}
-        for c in verdict.conditions
-    ]
-
-
-def _print_verdict(verdict):
-    print(f"case: {verdict.case}")
-    for c in verdict.conditions:
-        print(f"condition {c.name}: {'pass' if c.passed else 'FAIL'}")
-        if not c.passed:
-            print_witnesses(c.witnesses, _render_condition_witness)
-    print(f"auxiliary product rule a(nabla(x,y)) = a(x)a(y): "
-          f"{'holds' if verdict.aux_product_rule_holds else 'FAILS'}")
-    if not verdict.aux_product_rule_holds:
-        print_witnesses(verdict.aux_witnesses,
-                        lambda w: f"{one_based(w[0])}: {format_rational(w[1])}")
-    agree = verdict.conditions_hold == verdict.is_affine
-    print(f"oracle flat: {'yes' if verdict.is_affine else 'no'}")
-    print(f"conditions hold: {'yes' if verdict.conditions_hold else 'no'}")
-    print(f"oracle/conditions agreement: {'yes' if agree else 'NO'}")
-    for f in verdict.findings:
-        print(f"finding: {f}")
-    for note in verdict.notes:
-        print(f"note: {note}")
-
-
-def _render_condition_witness(w):
-    at, value = _condition_witness(w)
-    if value is None:
-        return "_".join(str(x) for x in at) + " != 0"
-    return f"{tuple(at)}: {value}"
+        _usage(fileio.save_algebra, payload["files"][0], ext.extended)
+    return _emit(args, EXIT_OK if ext.contact.is_contact else EXIT_REFUTED, payload)
 
 
 def cmd_lift(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    _require_lie(algebra, args.algebra)
+    algebra = _load_lie(args.algebra)
     theta = _load_form(args.symplectic, algebra, 2)
     nabla = _build_nabla(algebra, theta)
     n = algebra.dim
-
     if args.half:
         alpha = _parse_alpha(args.alpha, n) if args.alpha else [Fraction(0)] * n
         rep_ok, wit = is_one_dim_rep(algebra, alpha)
@@ -421,23 +326,19 @@ def cmd_lift(args) -> int:
     else:
         if args.alpha:
             raise CommandError(EXIT_USAGE, "--alpha is only valid together with --half")
-        try:
-            lift = fileio.load_liftdata(args.lift, n)
-        except (ParseError, OSError) as exc:
-            raise CommandError(EXIT_USAGE, str(exc)) from None
+        lift = _usage(fileio.load_liftdata, args.lift, n)
 
-    ext = central_extend(algebra, theta)
-    verdict = theorem_verdict(ext, nabla, lift)
-
+    verdict = theorem_verdict(central_extend(algebra, theta), nabla, lift)
     payload = {
         "command": "lift",
         "case": verdict.case,
         "oracle_flat": verdict.is_affine,
-        "torsion_defects": witness_payload(verdict.torsion_defects, defect_value_render),
-        "curvature_defects": witness_payload(verdict.curvature_defects, defect_value_render),
-        "conditions": _condition_payload(verdict),
+        "torsion_defects": witnesses(verdict.torsion_defects),
+        "curvature_defects": witnesses(verdict.curvature_defects),
+        "conditions": [{"name": c.name, "passed": c.passed, "witnesses": witnesses(c.witnesses)}
+                       for c in verdict.conditions],
         "aux_product_rule_holds": verdict.aux_product_rule_holds,
-        "aux_witnesses": witness_payload(verdict.aux_witnesses, defect_value_render),
+        "aux_witnesses": witnesses(verdict.aux_witnesses),
         "conditions_hold": verdict.conditions_hold,
         "agreement": verdict.conditions_hold == verdict.is_affine,
         "findings": verdict.findings,
@@ -445,81 +346,34 @@ def cmd_lift(args) -> int:
     }
     if args.half:
         first, second = half_case_residuals(algebra, theta, lift.V, lift.a)
-        payload["half_residuals"] = {
-            "vector_relation": witness_payload(first, defect_value_render),
-            "scalar_relation": witness_payload(second, defect_value_render),
-        }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK if verdict.is_affine else EXIT_REFUTED
-
-    print(f"torsion defects: {len(verdict.torsion_defects)}")
-    print_witnesses(verdict.torsion_defects,
-                    lambda d: f"{one_based(d[0])}: {fmt_vec(d[1])}")
-    print(f"curvature defects: {len(verdict.curvature_defects)}")
-    print_witnesses(verdict.curvature_defects,
-                    lambda d: f"{one_based(d[0])}: {fmt_vec(d[1])}")
-    if args.half:
-        print(f"half-case vector relation violations: {len(first)}")
-        print_witnesses(first, lambda d: f"{one_based(d[0])}: {fmt_vec(d[1])}")
-        print(f"half-case scalar relation violations: {len(second)}")
-        print_witnesses(second, lambda d: f"{one_based(d[0])}: {format_rational(d[1])}")
-    _print_verdict(verdict)
-    return EXIT_OK if verdict.is_affine else EXIT_REFUTED
+        payload["half_residuals"] = {"vector_relation": witnesses(first),
+                                     "scalar_relation": witnesses(second)}
+    return _emit(args, EXIT_OK if verdict.is_affine else EXIT_REFUTED, payload)
 
 
 def cmd_solve_lift(args) -> int:
-    algebra = _load_algebra(args.algebra)
-    _require_lie(algebra, args.algebra)
+    algebra = _load_lie(args.algebra)
     theta = _load_form(args.symplectic, algebra, 2)
     nabla = _build_nabla(algebra, theta)
-    n = algebra.dim
-    try:
-        if args.alpha:
-            alpha = _parse_alpha(args.alpha, n)
-            result = solve_lift_with_alpha(algebra, theta, nabla, alpha)
-        else:
-            result = solve_lift_trivial(algebra, theta, nabla)
-    except ValueError as exc:
-        raise CommandError(EXIT_USAGE, str(exc)) from None
-
+    if args.alpha:
+        alpha = _parse_alpha(args.alpha, algebra.dim)
+        result = _usage(solve_lift_with_alpha, algebra, theta, nabla, alpha)
+    else:
+        result = _usage(solve_lift_trivial, algebra, theta, nabla)
     payload = {
         "command": "solve-lift",
         "feasible": result.feasible,
         "dimension": result.dimension if result.feasible else None,
         "particular_symmetric": None if result.particular_sym is None
-        else [[format_rational(x) for x in row] for row in result.particular_sym],
-        "basis_symmetric": [[[format_rational(x) for x in row] for row in b]
-                            for b in result.basis_sym],
-        "points": [
-            {"flat": pt.flat, "findings": pt.verdict.findings,
-             "phi": [[format_rational(x) for x in row] for row in pt.phi]}
-            for pt in result.points
-        ],
+        else [rationals(row) for row in result.particular_sym],
+        "basis_symmetric": [[rationals(row) for row in b] for b in result.basis_sym],
+        "points": [{"flat": pt.flat, "findings": pt.verdict.findings,
+                    "phi": [rationals(row) for row in pt.phi]}
+                   for pt in result.points],
         "gap_candidates": len(result.gap_candidates),
     }
-    all_ok = all(pt.flat for pt in result.points)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK if all_ok else EXIT_REFUTED
-    if not result.feasible:
-        print("no admissible lift: the linear system is infeasible")
-        print("solution dimension: empty")
-        return EXIT_OK
-    print(f"solution dimension: {result.dimension}")
-    print("particular symmetric part:")
-    for row in result.particular_sym:
-        print("  " + fmt_vec(row))
-    for bi, b in enumerate(result.basis_sym):
-        print(f"basis direction {bi + 1}:")
-        for row in b:
-            print("  " + fmt_vec(row))
-    for pi, pt in enumerate(result.points):
-        tag = "flat" if pt.flat else "NOT flat"
-        extra = f" findings: {', '.join(pt.verdict.findings)}" if pt.verdict.findings else ""
-        print(f"checked point {pi + 1}: oracle {tag}{extra}")
-    print(f"theorem-gap candidates: {len(result.gap_candidates)}")
-    return EXIT_OK if all_ok else EXIT_REFUTED
+    flat = all(pt.flat for pt in result.points)
+    return _emit(args, EXIT_OK if flat else EXIT_REFUTED, payload)
 
 
 def cmd_catalog(args) -> int:
@@ -529,37 +383,151 @@ def cmd_catalog(args) -> int:
             entry = cat.get(name)
         except KeyError as exc:
             raise CommandError(EXIT_USAGE, str(exc.args[0])) from None
-        fileio.save_algebra(path, entry.algebra)
-        if args.json:
-            print(json.dumps({"command": "catalog", "emitted": name, "file": path}, indent=2))
-        else:
-            print(f"wrote {entry.name} (dim {entry.algebra.dim}) to {path}")
-        return EXIT_OK
-    entries = cat.entries()
+        _usage(fileio.save_algebra, path, entry.algebra)
+        # The text names the dimension, that is the number of basis names.
+        return _emit(args, EXIT_OK, {"command": "catalog", "emitted": name, "file": path},
+                     entry.algebra.basis_names)
     payload = {
         "command": "catalog",
         "entries": [
             {"name": e.name, "dim": e.algebra.dim, "valid": e.valid,
-             "contact_form": e.contact_form is not None and fileio.form_to_dict(e.contact_form) or None,
-             "symplectic_form": e.symplectic_form is not None and fileio.form_to_dict(e.symplectic_form) or None,
+             "contact_form": None if e.contact_form is None
+             else fileio.form_to_dict(e.contact_form),
+             "symplectic_form": None if e.symplectic_form is None
+             else fileio.form_to_dict(e.symplectic_form),
              "note": e.note}
-            for e in entries
+            for e in cat.entries()
         ],
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    for e in entries:
-        flags = []
-        if e.contact_form is not None:
-            flags.append("contact form")
-        if e.symplectic_form is not None:
-            flags.append("symplectic form")
-        if not e.valid:
+    return _emit(args, EXIT_OK, payload)
+
+
+# ---------------------------------------------------------------------------
+# text renderers: payload (and input basis names) -> lines
+
+def _check_text(p, names):
+    if not p["jacobi"]:
+        yield f"jacobi: FAIL ({len(p['defects'])} defect triples)"
+        yield from _witness_lines(p["defects"])
+        return
+    gens = p["center_generators"]
+    yield "jacobi: ok"
+    yield f"lcs: {p['lcs']}"
+    yield f"nilpotent: {_yes(p['nilpotent'])}"
+    yield f"center: dim {p['center_dim']} ({', '.join(gens) if gens else '-'})"
+
+
+def _contact_text(p, names):
+    if p["mode"] == "form":
+        yield f"scalar = {p['scalar']}"
+        yield f"contact: {_yes(p['contact'])}"
+        return
+    found = p["found"]
+    yield f"seed: {p['seed']}"
+    yield f"random attempts used: {p['random_attempts']}"
+    if found is None:
+        yield "no contact form found (probabilistic)"
+    else:
+        yield f"contact form: {fmt_form(found['form'], names)}"
+        yield f"scalar = {found['scalar']}"
+
+
+def _quotient_text(p, names):
+    quot, sym = p["quotient"], p["symplectic"]
+    yield f"quotient dim: {quot['dim']}"
+    yield f"kept basis vectors: {p['kept_basis']}"
+    yield f"center generator: {fmt_named(names, p['center_generator'])}"
+    yield f"theta: {fmt_form(p['theta'], quot['basis'])}"
+    yield f"symplectic: nondegenerate={_yes(sym['nondegenerate'])} closed={_yes(sym['closed'])}"
+    if "files" in p:
+        yield f"wrote {' and '.join(p['files'])}"
+
+
+def _affine_text(p, names):
+    table = p["product"]["table"]
+    for row in table:
+        yield (f"nabla({names[row['i'] - 1]}, {names[row['j'] - 1]}) = "
+               f"{fmt_named(names, row['value'])}")
+    if not table:
+        yield "nabla = 0"
+    yield f"torsion defects: {p['torsion_defects']}; curvature defects: {p['curvature_defects']}"
+    if "file" in p:
+        yield f"wrote {p['file']}"
+
+
+def _extend_text(p, names):
+    ext, contact = p["extension"], p["contact"]
+    names = ext["basis"]
+    yield f"extension dim: {ext['dim']} (central vector {names[-1]})"
+    for b in ext["brackets"]:
+        value = _signed_sum((t["c"], names[t["k"] - 1]) for t in b["terms"])
+        yield f"[{names[b['i'] - 1]}, {names[b['j'] - 1]}] = {value}"
+    yield f"contact scalar for {names[-1]}*: {contact['scalar']}"
+    yield f"contact: {_yes(contact['contact'])}"
+    if "files" in p:
+        yield f"wrote {p['files'][0]}"
+
+
+def _lift_text(p, names):
+    yield f"torsion defects: {len(p['torsion_defects'])}"
+    yield from _witness_lines(p["torsion_defects"])
+    yield f"curvature defects: {len(p['curvature_defects'])}"
+    yield from _witness_lines(p["curvature_defects"])
+    if "half_residuals" in p:
+        for key, label in (("vector_relation", "vector"), ("scalar_relation", "scalar")):
+            items = p["half_residuals"][key]
+            yield f"half-case {label} relation violations: {len(items)}"
+            yield from _witness_lines(items)
+    yield f"case: {p['case']}"
+    for c in p["conditions"]:
+        yield f"condition {c['name']}: {'pass' if c['passed'] else 'FAIL'}"
+        if not c["passed"]:
+            yield from _witness_lines(c["witnesses"])
+    holds = p["aux_product_rule_holds"]
+    yield f"auxiliary product rule a(nabla(x,y)) = a(x)a(y): {'holds' if holds else 'FAILS'}"
+    if not holds:
+        yield from _witness_lines(p["aux_witnesses"])
+    yield f"oracle flat: {_yes(p['oracle_flat'])}"
+    yield f"conditions hold: {_yes(p['conditions_hold'])}"
+    yield f"oracle/conditions agreement: {'yes' if p['agreement'] else 'NO'}"
+    yield from (f"finding: {f}" for f in p["findings"])
+    yield from (f"note: {note}" for note in p["notes"])
+
+
+def _solve_lift_text(p, names):
+    if not p["feasible"]:
+        yield "no admissible lift: the linear system is infeasible"
+        yield "solution dimension: empty"
+        return
+    yield f"solution dimension: {p['dimension']}"
+    yield "particular symmetric part:"
+    yield from ("  " + _vec_text(row) for row in p["particular_symmetric"])
+    for number, b in enumerate(p["basis_symmetric"], 1):
+        yield f"basis direction {number}:"
+        yield from ("  " + _vec_text(row) for row in b)
+    for number, pt in enumerate(p["points"], 1):
+        extra = f" findings: {', '.join(pt['findings'])}" if pt["findings"] else ""
+        yield f"checked point {number}: oracle {'flat' if pt['flat'] else 'NOT flat'}{extra}"
+    yield f"theorem-gap candidates: {p['gap_candidates']}"
+
+
+def _catalog_text(p, names):
+    if "emitted" in p:
+        yield f"wrote {p['emitted']} (dim {len(names)}) to {p['file']}"
+        return
+    for e in p["entries"]:
+        flags = [label for key, label in (("contact_form", "contact form"),
+                                          ("symplectic_form", "symplectic form"))
+                 if e[key] is not None]
+        if not e["valid"]:
             flags.append("INVALID by design")
         flag_text = f" [{'; '.join(flags)}]" if flags else ""
-        print(f"{e.name}: dim {e.algebra.dim}{flag_text} - {e.note}")
-    return EXIT_OK
+        yield f"{e['name']}: dim {e['dim']}{flag_text} - {e['note']}"
+
+
+TEXT = {"check": _check_text, "contact": _contact_text, "quotient": _quotient_text,
+        "affine": _affine_text, "extend": _extend_text, "lift": _lift_text,
+        "solve-lift": _solve_lift_text, "catalog": _catalog_text}
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +609,6 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
         # A bug, not a verdict: exit 1 would read as "refuted".
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

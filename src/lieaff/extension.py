@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -55,6 +56,7 @@ from .ratlin import (
 from .structures import (
     AffineReport,
     BilinearProduct,
+    ContactReport,
     contact_test,
     curvature,
     defining_relation_defects,
@@ -70,6 +72,12 @@ class CentralExtension:
     base: LieAlgebra
     cocycle: KForm
     extended: LieAlgebra
+
+    @cached_property
+    def contact(self) -> ContactReport:
+        """The contact test of the dual of the new central vector, run on first use."""
+        n = self.extended.dim
+        return contact_test(self.extended, KForm.dual(n, n - 1))
 
 
 def _next_name(names) -> str:
@@ -119,15 +127,16 @@ def central_extend(algebra: LieAlgebra, theta: KForm) -> CentralExtension:
     if extended.jacobi_defects():
         raise AssertionError("extension violates Jacobi despite closed cocycle")
 
+    ext = CentralExtension(algebra, theta, extended)
     if n % 2 == 0:
         sym = symplectic_check(algebra, theta)
         if sym.is_symplectic and algebra.is_nilpotent():
             zc = extended.center()
             if zc.dim != 1 or zc.basis[0] != extended.basis_vector(n):
                 raise AssertionError("extension center is not spanned by the new vector")
-            if not contact_test(extended, KForm.dual(n + 1, n)).is_contact:
+            if not ext.contact.is_contact:
                 raise AssertionError("dual of the new central vector is not a contact form")
-    return CentralExtension(algebra, theta, extended)
+    return ext
 
 
 @dataclass

@@ -45,6 +45,9 @@ def load_json(path: str) -> dict:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the digit limit, or nesting past the recursion limit
+        raise ParseError(f"{path}: unreadable JSON ({exc})") from None
 
 
 def dump_json(path: str, payload: dict) -> None:

@@ -42,7 +42,6 @@ from .ratlin import (
     is_zero_vector,
     rank as matrix_rank,
     scale_to_integers,
-    vsub,
     vzero,
 )
 
@@ -150,8 +149,8 @@ def contact_test(algebra: LieAlgebra, omega: KForm) -> ContactReport:
     if omega.degree != 1 or omega.dim != n:
         raise ValueError("need a 1-form on the algebra")
     p = (n - 1) // 2
-    dw = differential(algebra, omega)
-    scalar = wedge_eval_top([omega] + [dw] * p, n)
+    # in dimension 1 there are no 2-forms, and the scalar is w(e_1) itself
+    scalar = wedge_eval_top([omega] + [differential(algebra, omega)] * p if p else [omega], n)
     return ContactReport(omega, scalar, scalar != 0)
 
 
@@ -281,14 +280,15 @@ def affine_from_symplectic(algebra: LieAlgebra, theta: KForm) -> BilinearProduct
     return product
 
 
-def curvature(algebra: LieAlgebra, product: BilinearProduct) -> list:
+def curvature(algebra: LieAlgebra, product: BilinearProduct, columns=None) -> list:
     """The flatness scan: every nonzero R(e_i, e_j) e_k, i < j, all k, in scan order.
 
     R(u, v) w = prod(u, prod(v, w)) - prod(v, prod(u, w)) - prod([u, v], w),
     computed by integer_curvature from the columns over D and returned as
-    ((i, j, k), [Fraction, ...]) with the values over D^2.
+    ((i, j, k), [Fraction, ...]) with the values over D^2.  A caller that has
+    the columns (integer_columns) passes them.
     """
-    brackets, products, _, d = integer_columns(algebra, product)
+    brackets, products, _, d = columns or integer_columns(algebra, product)
     return [(t, fractions_over(acc, d * d)) for t, acc in integer_curvature(products, brackets)]
 
 
@@ -304,22 +304,31 @@ class AffineReport:
         return not self.torsion_defects and not self.curvature_defects
 
 
-def torsion_defects(algebra: LieAlgebra, product: BilinearProduct) -> list:
-    """Pairs i < j where prod(e_i, e_j) - prod(e_j, e_i) differs from [e_i, e_j]."""
+def torsion_defects(algebra: LieAlgebra, product: BilinearProduct, columns=None) -> list:
+    """Pairs i < j where prod(e_i, e_j) - prod(e_j, e_i) differs from [e_i, e_j].
+
+    With the columns over D (integer_columns, passed by a caller that has
+    them), D T(i, j) = P_i[j] - P_j[i] - B_ij is an integer vector; only the
+    nonzero ones become Fractions.
+    """
+    brackets, products, _, d = columns or integer_columns(algebra, product)
     n = algebra.dim
-    if product.dim != n:
-        raise ValueError("product dimension does not match algebra")
     torsion = []
     for i in range(n):
         for j in range(i + 1, n):
-            d = vsub(vsub(product.value(i, j), product.value(j, i)), algebra.bracket_basis(i, j))
-            if not is_zero_vector(d):
-                torsion.append(((i, j), d))
+            acc = [0] * n
+            for sign, column in ((1, products[i][j]), (-1, products[j][i]), (-1, brackets[i][j])):
+                for k, v in column:
+                    acc[k] += sign * v
+            if any(acc):
+                torsion.append(((i, j), fractions_over(acc, d)))
     return torsion
 
 
 def verify_affine(algebra: LieAlgebra, product: BilinearProduct) -> AffineReport:
-    return AffineReport(torsion_defects(algebra, product), curvature(algebra, product))
+    columns = integer_columns(algebra, product)
+    return AffineReport(torsion_defects(algebra, product, columns),
+                        curvature(algebra, product, columns))
 
 
 def integer_columns(algebra: LieAlgebra, product: BilinearProduct, extra=()) -> tuple:

@@ -1,7 +1,7 @@
 """The structure-constant scans in Fraction arithmetic: references for the integer ones.
 
-Each routine evaluates its definition term by term through LieAlgebra.bracket
-and BilinearProduct.apply on basis vectors, with no shared kernel and no
+Each routine evaluates its definition term by term through LieAlgebra.bracket,
+BilinearProduct.apply and BilinearProduct.value on basis vectors, with no shared kernel and no
 common denominator.
 """
 
@@ -41,6 +41,18 @@ def curvature_scan(algebra, product):
                 c = curvature_at(algebra, product, e(i), e(j), e(k))
                 if not is_zero_vector(c):
                     out.append(((i, j, k), c))
+    return out
+
+
+def torsion_defects(algebra, product):
+    """Pairs i < j where prod(e_i, e_j) - prod(e_j, e_i) differs from [e_i, e_j]."""
+    n = algebra.dim
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = vsub(vsub(product.value(i, j), product.value(j, i)), algebra.bracket_basis(i, j))
+            if not is_zero_vector(d):
+                out.append(((i, j), d))
     return out
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from lieaff import cli, fileio
+from lieaff import cli, extension, fileio
 from lieaff.catalog import entries, get
 from lieaff.cli import main
 from lieaff.extension import LiftData
@@ -393,6 +393,52 @@ def test_catalog_emit_round_trips(capsys, tmp_path):
 def test_catalog_emit_unknown_name(capsys, tmp_path):
     code, _, err = run(capsys, "catalog", "--emit", "nosuch", str(tmp_path / "x.json"))
     assert code == 2
+
+
+def test_catalog_is_built_once():
+    assert get("h3") is get("h3")
+    first, second = entries(), entries()
+    assert first == second and first is not second
+    first.clear()
+    assert entries() == second
+
+
+@pytest.mark.parametrize("command", ["catalog", "quotient", "affine", "extend"])
+def test_unwritable_output_exit_2(capsys, files, command):
+    # A missing directory in an output path is a usage error, reported before
+    # anything is printed.
+    out = "/nonexistent/dir/out"
+    argv = {
+        "catalog": ["catalog", "--emit", "h3", out + ".json"],
+        "quotient": ["quotient", files["h3"], "--form", files["h3.omega"], "--out", out],
+        "affine": ["affine", files["n4"], "--symplectic", files["n4.theta"], "--out", out],
+        "extend": ["extend", files["r2"], "--symplectic", files["r2.theta"], "--out", out],
+    }[command]
+    for mode in ([], ["--json"]):
+        code, stdout, err = run(capsys, *argv, *mode)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and "/nonexistent/dir/out" in err
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("coeffs, code", [({(0, 1): 1}, 0), ({}, 1)])
+def test_extend_runs_one_contact_test(capsys, files, tmp_path, monkeypatch, coeffs, code):
+    # The readback of a symplectic form and the command share one contact test;
+    # a degenerate closed form skips the readback, and the command runs it.
+    form = tmp_path / "theta.json"
+    fileio.save_form(form, KForm(2, 2, coeffs))
+    calls = []
+    original = extension.contact_test
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(extension, "contact_test", counted)
+    monkeypatch.setattr(cli, "contact_test", counted)
+    assert run(capsys, "extend", files["r2"], "--symplectic", str(form))[0] == code
+    assert len(calls) == 1
 
 
 def test_json_modes_are_valid_json(capsys, files):

@@ -1,6 +1,6 @@
 """The integer scans against their Fraction references (tests/fraction_scans.py).
 
-Curvature, Jacobi, center, lower central series, 2-cocycle defects, the
+Torsion, curvature, Jacobi, center, lower central series, 2-cocycle defects, the
 canonical product, the quotient by the center and the half-case residuals run
 on integer columns over one common denominator; each must give the same
 triples, in the same order, with equal Fraction values.  The tables are drawn
@@ -24,7 +24,13 @@ from lieaff.extension import (
 )
 from lieaff.liecore import KForm, LieAlgebra, cocycle_defects, quotient_by_center
 from lieaff.ratlin import Matrix, invert
-from lieaff.structures import BilinearProduct, affine_from_symplectic, curvature, verify_affine
+from lieaff.structures import (
+    BilinearProduct,
+    affine_from_symplectic,
+    curvature,
+    torsion_defects,
+    verify_affine,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
@@ -75,6 +81,29 @@ def test_curvature_matches_fraction_scan(data):
     want = ref.curvature_scan(algebra, product)
     assert_same_defects(curvature(algebra, product), want)
     assert_same_defects(verify_affine(algebra, product).curvature_defects, want)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_torsion_matches_fraction_scan(data):
+    algebra = data.draw(algebras(min_dim=2))
+    product = data.draw(products(algebra.dim))
+    want = ref.torsion_defects(algebra, product)
+    assert_same_defects(torsion_defects(algebra, product), want)
+    assert_same_defects(verify_affine(algebra, product).torsion_defects, want)
+
+
+def test_torsion_with_mixed_denominators():
+    # [e1, e2] = 1/2 e3 against a product over the denominators 3, 4 and 5:
+    # two pairs fail, one with a value over their lcm.
+    algebra = LieAlgebra(dim=3, constants={(0, 1): {2: Fraction(1, 2)}})
+    product = BilinearProduct(3, {(0, 1): [Fraction(1, 3), 0, Fraction(1, 4)],
+                                  (1, 0): [0, Fraction(2, 5), 0],
+                                  (1, 2): [0, 0, Fraction(-3, 4)]})
+    want = ref.torsion_defects(algebra, product)
+    assert [t for t, _ in want] == [(0, 1), (1, 2)]
+    assert want[0][1] == [Fraction(1, 3), Fraction(-2, 5), Fraction(-1, 4)]
+    assert_same_defects(torsion_defects(algebra, product), want)
 
 
 @given(st.data())
