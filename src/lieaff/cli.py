@@ -33,7 +33,7 @@ from .extension import (
     solve_lift_with_alpha,
     theorem_verdict,
 )
-from .liecore import KForm, LieAlgebra, quotient_by_center
+from .liecore import KForm, LieAlgebra, cocycle_defects, quotient_by_center
 from .ratlin import format_rational, parse_rational
 from .structures import (
     DEFAULT_SEED,
@@ -179,15 +179,23 @@ def _load_form(path: str, algebra: LieAlgebra, degree: int) -> KForm:
     return form
 
 
-def _parse_alpha(text: str, dim: int):
+def _parse_alpha(text: str, algebra: LieAlgebra):
+    """The --alpha values: one rational per basis vector, vanishing on every bracket."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != dim:
-        raise CommandError(EXIT_USAGE,
-                           f"--alpha needs {dim} comma-separated rationals, got {len(parts)}")
+    if len(parts) != algebra.dim:
+        raise CommandError(EXIT_USAGE, f"--alpha needs {algebra.dim} comma-separated "
+                                       f"rationals, got {len(parts)}")
     try:
-        return [parse_rational(p) for p in parts]
+        alpha = [parse_rational(p) for p in parts]
     except ValueError as exc:
         raise CommandError(EXIT_USAGE, f"--alpha: {exc}") from None
+    rep_ok, wit = is_one_dim_rep(algebra, alpha)
+    if not rep_ok:
+        raise CommandError(
+            EXIT_USAGE,
+            f"--alpha is not a one-dimensional representation; witness at pair "
+            f"{one_based(wit[0][0])} with value {format_rational(wit[0][1])}")
+    return alpha
 
 
 def _build_nabla(algebra: LieAlgebra, theta: KForm):
@@ -297,7 +305,13 @@ def cmd_extend(args) -> int:
     if algebra.dim % 2 != 0:
         raise CommandError(EXIT_USAGE,
                            "extension with contact readback needs an even-dimensional base")
-    ext = _usage(central_extend, algebra, _load_form(args.symplectic, algebra, 2))
+    theta = _load_form(args.symplectic, algebra, 2)
+    defects = cocycle_defects(algebra, theta)
+    if defects:
+        raise CommandError(EXIT_USAGE,
+                           f"2-form is not closed (first defect at triple "
+                           f"{one_based(defects[0][0])}); the extension would violate Jacobi")
+    ext = _usage(central_extend, algebra, theta)
     payload = {
         "command": "extend",
         "extension": fileio.algebra_to_dict(ext.extended),
@@ -315,13 +329,7 @@ def cmd_lift(args) -> int:
     nabla = _build_nabla(algebra, theta)
     n = algebra.dim
     if args.half:
-        alpha = _parse_alpha(args.alpha, n) if args.alpha else [Fraction(0)] * n
-        rep_ok, wit = is_one_dim_rep(algebra, alpha)
-        if not rep_ok:
-            raise CommandError(
-                EXIT_USAGE,
-                f"--alpha is not a one-dimensional representation; witness at pair "
-                f"{one_based(wit[0][0])} with value {format_rational(wit[0][1])}")
+        alpha = _parse_alpha(args.alpha, algebra) if args.alpha else [Fraction(0)] * n
         lift = LiftData.half_cocycle(theta, alpha)
     else:
         if args.alpha:
@@ -356,7 +364,7 @@ def cmd_solve_lift(args) -> int:
     theta = _load_form(args.symplectic, algebra, 2)
     nabla = _build_nabla(algebra, theta)
     if args.alpha:
-        alpha = _parse_alpha(args.alpha, algebra.dim)
+        alpha = _parse_alpha(args.alpha, algebra)
         result = _usage(solve_lift_with_alpha, algebra, theta, nabla, alpha)
     else:
         result = _usage(solve_lift_trivial, algebra, theta, nabla)

@@ -25,9 +25,10 @@ a(y) terms vanish ("kernel-twisted-two-cocycle"); and the lift solvers fold
 the rows onto the symmetric part of phi = theta/2 + s and solve for s.  The
 values are also the central part of the curvature on base triples, which
 curvature_expansions checks against one curvature scan of the built product.
-The integer tables of the base data (_base_tables) are built once per solve
-or verdict and shared by the defining-relation readback, the operator and the
-solvers' system.
+The lift tables (_lift_tables: the integer base tables, the defining-relation
+readback on them and the operator) are built once per verdict or per solve;
+a solve shares them with the verdict of every point it checks, and the
+verdict reads the auxiliary product rule off the same integer columns.
 """
 
 from __future__ import annotations
@@ -240,21 +241,24 @@ def lift_report(ext: CentralExtension, nabla: BilinearProduct, lift: LiftData) -
 def _base_tables(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a) -> tuple:
     """(columns, gram): integer_columns(base, nabla, a) and integer_gram(theta).
 
-    Built once per solve or verdict, then shared by the defining-relation
-    readback, the phi condition operator and the lift solvers' system.
+    No readback: the curvature expansion, and with it the operator built on
+    these tables, holds for any nabla.
     """
     return integer_columns(base, nabla, [Fraction(x) for x in a]), integer_gram(theta)
 
 
-def _checked_base_tables(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a) -> tuple:
-    """_base_tables, after the readback has confirmed the symplectic defining relation."""
+def _lift_tables(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a) -> tuple:
+    """(columns, gram, operator) of one lift problem: the base tables and
+    _phi_condition_operator on them, after the readback has confirmed the
+    symplectic defining relation.  Built once per verdict or solve.
+    """
     columns, gram = _base_tables(base, theta, nabla, a)
     readback = defining_relation_defects(base, theta, nabla, columns, gram)
     if readback:
         raise ValueError(
             f"base product violates the symplectic defining relation at {readback[0][0]}"
         )
-    return columns, gram
+    return columns, gram, _phi_condition_operator(columns, gram)
 
 
 def _phi_condition_operator(columns, gram):
@@ -287,12 +291,12 @@ def _phi_condition_operator(columns, gram):
     return terms, d * e
 
 
-def _phi_condition_values(columns, gram, lift: LiftData) -> tuple:
-    """({(i, j, k): v}, den): C_a at the lift's phi and a is v / den, in scan order.
+def _phi_condition_values(operator, lift: LiftData) -> tuple:
+    """({(i, j, k): v}, den): C_a at the lift's phi is v / den, in scan order.
 
-    columns and gram are the base tables built with the lift's a.
+    operator is _phi_condition_operator on the base tables built with the lift's a.
     """
-    terms, den = _phi_condition_operator(columns, gram)
+    terms, den = operator
     phi, f = scale_to_integers([x for row in lift.phi for x in row])
     values = {t: sum(r * phi[x] for x, r in row) + const * f for t, row, const in terms}
     return values, den * f
@@ -337,7 +341,8 @@ def curvature_expansions(ext: CentralExtension, nabla: BilinearProduct,
     base_curvature = dict(curvature(base, nabla))
     zero = vzero(n + 1)
 
-    phi_conditions, den = _phi_condition_values(*_base_tables(base, theta, nabla, lift.a), lift)
+    phi_conditions, den = _phi_condition_values(
+        _phi_condition_operator(*_base_tables(base, theta, nabla, lift.a)), lift)
     base_triples = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -516,17 +521,22 @@ def _nonzero_central_parts(lift: LiftData) -> list:
     return tags
 
 
-def theorem_verdict(ext: CentralExtension, nabla: BilinearProduct, lift: LiftData) -> Verdict:
+def theorem_verdict(ext: CentralExtension, nabla: BilinearProduct, lift: LiftData,
+                    tables=None) -> Verdict:
     """Classify the lift and compare the characterization conditions with the oracle.
 
     Requires nabla to satisfy the symplectic defining relation (checked via
-    readback).  The nontrivial case encodes the vanishing of the mixed
-    products as full V = 0; the off-kernel vector parts are only implicitly
-    constrained by the statement, and this reading is recorded in notes.
+    readback).  A caller that holds the lift tables (_lift_tables, built with
+    the lift's a) passes them as tables.  The nontrivial case encodes the
+    vanishing of the mixed products as full V = 0; the off-kernel vector parts
+    are only implicitly constrained by the statement, and this reading is
+    recorded in notes.
     """
     base = ext.base
     n = base.dim
-    tables = _checked_base_tables(base, ext.cocycle, nabla, lift.a)
+    if tables is None:
+        tables = _lift_tables(base, ext.cocycle, nabla, lift.a)
+    (_, products, a_int, d), _, operator = tables
 
     report = lift_report(ext, nabla, lift)
     is_affine = report.is_affine
@@ -539,7 +549,7 @@ def theorem_verdict(ext: CentralExtension, nabla: BilinearProduct, lift: LiftDat
     if all(x == 0 for x in a):
         case = CASE_TRIVIAL
         conditions.append(ConditionCheck("central-products-vanish", not central, central))
-        values, den = _phi_condition_values(*tables, lift)
+        values, den = _phi_condition_values(operator, lift)
         wit2 = [(t, Fraction(v, den)) for t, v in values.items() if v]
         conditions.append(ConditionCheck("vinberg-two-cocycle", not wit2, wit2))
     else:
@@ -559,7 +569,7 @@ def theorem_verdict(ext: CentralExtension, nabla: BilinearProduct, lift: LiftDat
             )
             # C_a(x, y, e_k) for kernel vectors x, y of a: the contraction of the
             # values with x ^ y, where the a(x) and a(y) terms drop out
-            values, den = _phi_condition_values(*tables, lift)
+            values, den = _phi_condition_values(operator, lift)
             ker = kernel_basis(Matrix.from_rows([list(a)]))
             wit2 = []
             for p in range(len(ker)):
@@ -574,12 +584,13 @@ def theorem_verdict(ext: CentralExtension, nabla: BilinearProduct, lift: LiftDat
                             wit2.append(((p, q, k), val))
             conditions.append(ConditionCheck("kernel-twisted-two-cocycle", not wit2, wit2))
 
+    # a(nabla(e_i, e_j)) - a_i a_j, times D^2: sum_k P_ij,k A_k - A_i A_j
     aux_wit = []
     for i in range(n):
         for j in range(n):
-            val = lift.a_of(nabla.value(i, j)) - a[i] * a[j]
+            val = sum(v * a_int[k] for k, v in products[i][j]) - a_int[i] * a_int[j]
             if val:
-                aux_wit.append(((i, j), val))
+                aux_wit.append(((i, j), Fraction(val, d * d)))
     aux_holds = not aux_wit
 
     findings = []
@@ -637,14 +648,6 @@ def _sym_index(n: int):
     return pairs, {pq: t for t, pq in enumerate(pairs)}
 
 
-def _phi_from_sym(theta: KForm, sym_rows) -> tuple:
-    n = theta.dim
-    half = Fraction(1, 2)
-    return tuple(
-        tuple(sym_rows[i][j] + half * theta.pair(i, j) for j in range(n)) for i in range(n)
-    )
-
-
 def _sym_rows(vec, n, index):
     rows = [[ZERO] * n for _ in range(n)]
     for (p, q), t in index.items():
@@ -653,11 +656,11 @@ def _sym_rows(vec, n, index):
     return rows
 
 
-def _solve_phi_system(columns, gram):
+def _solve_phi_system(gram, operator):
     """Solve the per-triple conditions C_a = 0 for the symmetric part s of phi.
 
-    columns and gram are the base tables (_base_tables).  The rows of
-    _phi_condition_operator, times 2, are folded onto the unknowns
+    gram is the integer Gram matrix of theta (_base_tables) and operator is
+    _phi_condition_operator.  Its rows, times 2, are folded onto the unknowns
     s[x][q] = s[q][x]; substituting phi = s + theta/2 moves each row's theta
     part, sum of r * theta(e_x, e_q) / 2, into the constant.  With den = D * E
     every condition times 2 * den then has integer coefficients and an integer
@@ -666,7 +669,7 @@ def _solve_phi_system(columns, gram):
     form, so the particular solution, the kernel, the rank and the
     infeasibility verdict are exactly those of the unscaled system.
     """
-    terms, _ = _phi_condition_operator(columns, gram)
+    terms, _ = operator
     gram, e = gram
     n = len(gram)
     gram = [g for row in gram for g in row]
@@ -689,55 +692,43 @@ def _solve_phi_system(columns, gram):
     return solve_linear(system, rhs), index
 
 
-def _package_and_check(base, theta, nabla, a, solution, index):
+def _solve_lift(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a) -> LiftSolveResult:
+    """Solve C_a = 0 for phi = theta/2 + s and check the particular solution and
+    the particular plus each basis direction, in that order.
+
+    The lift tables are built once and handed to each point's theorem_verdict;
+    the extension is built once, and only when the system is feasible.
+    """
     n = base.dim
+    tables = _lift_tables(base, theta, nabla, a)
+    _, gram, operator = tables
+    solution, index = _solve_phi_system(gram, operator)
     if solution.infeasible:
         return LiftSolveResult(False, -1, None, [], [], [])
     ext = central_extend(base, theta)
-    basis_vecs = solution.kernel
-    particular = solution.particular
+    half = LiftData.half_cocycle(theta, a)
+    particular, kernel = solution.particular, solution.kernel
     points = []
-    gaps = []
-
-    def check_point(svec):
+    for svec in [particular] + [vadd(particular, b) for b in kernel]:
         sym = _sym_rows(svec, n, index)
-        phi = _phi_from_sym(theta, sym)
-        lift = LiftData(
-            phi,
-            tuple(tuple([ZERO] * n) for _ in range(n)),
-            tuple(Fraction(x) for x in a),
-            tuple([ZERO] * n),
-            ZERO,
-        )
-        verdict = theorem_verdict(ext, nabla, lift)
-        pt = SolvedPoint(phi, lift, verdict.is_affine, verdict)
-        points.append(pt)
-        if "theorem-gap" in verdict.findings:
-            gaps.append(pt)
-        return pt
-
-    check_point(particular)
-    for b in basis_vecs:
-        check_point(vadd(particular, b))
-
-    sym_part = _sym_rows(particular, n, index)
-    basis_sym = [_sym_rows(b, n, index) for b in basis_vecs]
+        lift = half.with_changes(phi=[[s + h for s, h in zip(rs, rh)]
+                                      for rs, rh in zip(sym, half.phi)])
+        verdict = theorem_verdict(ext, nabla, lift, tables)
+        points.append(SolvedPoint(lift.phi, lift, verdict.is_affine, verdict))
     return LiftSolveResult(
         True,
-        len(basis_vecs),
-        tuple(tuple(r) for r in sym_part),
-        [tuple(tuple(r) for r in bs) for bs in basis_sym],
+        len(kernel),
+        tuple(tuple(r) for r in _sym_rows(particular, n, index)),
+        [tuple(tuple(r) for r in _sym_rows(b, n, index)) for b in kernel],
         points,
-        gaps,
+        [pt for pt in points if "theorem-gap" in pt.verdict.findings],
     )
 
 
 def solve_lift_trivial(base: LieAlgebra, theta: KForm, nabla: BilinearProduct) -> LiftSolveResult:
     """Admissible phi for the trivial central form: every solution must be flat."""
     _require_closed(base, theta)
-    a = [ZERO] * base.dim
-    solution, index = _solve_phi_system(*_checked_base_tables(base, theta, nabla, a))
-    result = _package_and_check(base, theta, nabla, a, solution, index)
+    result = _solve_lift(base, theta, nabla, [ZERO] * base.dim)
     for pt in result.points:
         if not pt.flat:
             raise AssertionError("trivial-case solver produced a non-flat candidate")
@@ -758,8 +749,7 @@ def solve_lift_with_alpha(base: LieAlgebra, theta: KForm, nabla: BilinearProduct
     rep_ok, wit = is_one_dim_rep(base, a)
     if not rep_ok:
         raise ValueError(f"central form is not a representation; witness at pair {wit[0][0]}")
-    solution, index = _solve_phi_system(*_checked_base_tables(base, theta, nabla, a))
-    return _package_and_check(base, theta, nabla, a, solution, index)
+    return _solve_lift(base, theta, nabla, a)
 
 
 # ---------------------------------------------------------------------------

@@ -241,3 +241,15 @@ def half_case_residuals(algebra, theta, V, a):
                 if s:
                     second.append(((i, j, k), s))
     return first, second
+
+
+def aux_product_rule(nabla, lift):
+    """Pairs (i, j), all ordered, where a(nabla(e_i, e_j)) differs from a_i a_j, with the difference."""
+    n = lift.dim
+    out = []
+    for i in range(n):
+        for j in range(n):
+            val = lift.a_of(nabla.value(i, j)) - lift.a[i] * lift.a[j]
+            if val:
+                out.append(((i, j), val))
+    return out

@@ -88,6 +88,7 @@ COMMANDS = [
     ["extend", "n4.json", "--symplectic", "n4.open.json"],
     ["extend", "h3.json", "--symplectic", "h3.odd.json"],
     ["lift", "n4.json", "--symplectic", "n4.theta.json", "--half", "--alpha", "0,0,1,0"],
+    ["solve-lift", "n4.json", "--symplectic", "n4.theta.json", "--alpha", "0,0,1,0"],
     ["lift", "r2.json", "--symplectic", "r2.theta.json", "--lift", "r2.rho.json",
      "--alpha", "0,0"],
     ["lift", "r2.json", "--symplectic", "r2.theta.json", "--half", "--alpha", "1/0,0"],

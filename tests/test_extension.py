@@ -1,16 +1,19 @@
 """Central extensions, lifted products, the two-case verdict, and the solvers."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lieaff import extension
 from lieaff.catalog import contact_entries, get, symplectic_entries
 from lieaff.extension import (
     LiftData,
     _base_tables,
     _next_name,
+    _phi_condition_operator,
     _solve_phi_system,
     build_lift,
     central_extend,
@@ -433,9 +436,15 @@ def test_solve_lift_rejects_nonclosed_form_on_infeasible_system():
             table[(i, j)] = minv.mul_vec(rhs)
     nabla = BilinearProduct(n, table)
     assert defining_relation_defects(n4, theta, nabla) == []
-    assert _solve_phi_system(*_base_tables(n4, theta, nabla, a))[0].infeasible
+    assert _phi_system(n4, theta, nabla, a).infeasible
     with pytest.raises(ValueError, match="not closed"):
         solve_lift_with_alpha(n4, theta, nabla, a)
+
+
+def _phi_system(base, theta, nabla, a):
+    """_solve_phi_system on the base tables, with no readback: nabla may be any product."""
+    columns, gram = _base_tables(base, theta, nabla, a)
+    return _solve_phi_system(gram, _phi_condition_operator(columns, gram))[0]
 
 
 def _solve_phi_system_reference(base, theta, nabla, a):
@@ -476,7 +485,7 @@ def _solve_phi_system_reference(base, theta, nabla, a):
 
 
 def _assert_phi_system_matches_reference(base, theta, nabla, a):
-    got = _solve_phi_system(*_base_tables(base, theta, nabla, a))[0]
+    got = _phi_system(base, theta, nabla, a)
     want = _solve_phi_system_reference(base, theta, nabla, a)
     assert got.infeasible == want.infeasible
     assert got.rank == want.rank
@@ -742,3 +751,72 @@ def test_solve_lift_alpha_rejects_wrong_length():
     for a in ([ONE, ZERO, ZERO], [ONE, ZERO, ZERO, ZERO, F(7)]):
         with pytest.raises(ValueError, match="length"):
             solve_lift_with_alpha(base, theta, nabla, a)
+
+
+# ---------------------------------------------------------------------------
+# one lift problem per solve: the tables are built once and shared by every point
+
+
+def _solver_cases():
+    """(base, theta, nabla, a): the symplectic catalog with a = 0 (None, the trivial
+    solver) and with each basis representation, among them the r2 gap family
+    a = (1, 0) and the infeasible r4 with a = (1, 0, 0, 0), and the quotients of
+    h5 and h7 by their centers with a = 0."""
+    cases = []
+    for e in symplectic_entries():
+        cases.append((e.algebra, e.symplectic_form, None))
+        cases += [(e.algebra, e.symplectic_form, a) for a in _representation_basis(e.algebra)]
+    for name in ("h5", "h7"):
+        q = quotient_by_center(get(name).algebra, get(name).contact_form)
+        cases.append((q.algebra, q.theta, None))
+    return [(base, theta, affine_from_symplectic(base, theta), a) for base, theta, a in cases]
+
+
+def _solve(base, theta, nabla, a):
+    if a is None:
+        return solve_lift_trivial(base, theta, nabla)
+    return solve_lift_with_alpha(base, theta, nabla, a)
+
+
+def test_solver_verdicts_equal_fresh_verdicts():
+    # each point's verdict, computed on the solve's shared tables, is the one a
+    # caller gets from theorem_verdict alone
+    points = gaps = 0
+    for base, theta, nabla, a in _solver_cases():
+        res = _solve(base, theta, nabla, a)
+        ext = central_extend(base, theta)
+        for pt in res.points:
+            assert pt.verdict == theorem_verdict(ext, nabla, pt.lift)
+            assert pt.phi == pt.lift.phi and pt.flat == pt.verdict.is_affine
+        assert res.gap_candidates == [pt for pt in res.points
+                                      if "theorem-gap" in pt.verdict.findings]
+        points += len(res.points)
+        gaps += len(res.gap_candidates)
+    assert points > 50 and gaps > 0
+
+
+def test_one_readback_and_one_operator_per_solve(monkeypatch):
+    counts = Counter()
+
+    def counted(name):
+        fn = getattr(extension, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(extension, name, wrapper)
+
+    for name in ("defining_relation_defects", "_phi_condition_operator", "central_extend",
+                 "theorem_verdict"):
+        counted(name)
+    feasible = infeasible = 0
+    for base, theta, nabla, a in _solver_cases():
+        counts.clear()
+        res = _solve(base, theta, nabla, a)
+        assert counts["defining_relation_defects"] == 1
+        assert counts["_phi_condition_operator"] == 1
+        assert counts["central_extend"] == res.feasible
+        assert counts["theorem_verdict"] == len(res.points)
+        feasible += res.feasible
+        infeasible += not res.feasible
+    assert feasible and infeasible

@@ -17,10 +17,11 @@ from lieaff import liecore
 from lieaff.catalog import contact_entries, entries, get, symplectic_entries
 from lieaff.extension import (
     LiftData,
-    _base_tables,
+    _lift_tables,
     _phi_condition_values,
     central_extend,
     half_case_residuals,
+    theorem_verdict,
 )
 from lieaff.liecore import KForm, LieAlgebra, cocycle_defects, quotient_by_center
 from lieaff.ratlin import Matrix, invert
@@ -352,6 +353,38 @@ def test_half_case_on_symplectic_quotients(name, data):
     got = half_case_residuals(base, theta, V, a)
     assert_same_residuals(got, ref.half_case_residuals(base, theta, V, a))
     nabla = affine_from_symplectic(base, theta)
-    values, den = _phi_condition_values(*_base_tables(base, theta, nabla, a),
+    values, den = _phi_condition_values(_lift_tables(base, theta, nabla, a)[2],
                                         LiftData.half_cocycle(theta, a))
     assert got[1] == [(t, 2 * Fraction(v, den)) for t, v in values.items() if v]
+
+
+# ---------------------------------------------------------------------------
+# the auxiliary product rule of the verdict
+
+
+@pytest.mark.parametrize("name", CONTACT_CASES)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_aux_product_rule_matches_fraction_reference(name, data):
+    # the canonical product of a symplectic quotient in a random basis, with a
+    # raw central form a of mixed denominators: mostly not a representation
+    algebra, omega = contact_case(name, data)
+    quot = quotient_by_center(algebra, omega)
+    base, theta = quot.algebra, quot.theta
+    nabla = affine_from_symplectic(base, theta)
+    lift = LiftData.half_cocycle(theta, data.draw(vectors(base.dim)))
+    got = theorem_verdict(central_extend(base, theta), nabla, lift).aux_witnesses
+    assert_same_defects(got, ref.aux_product_rule(nabla, lift))
+
+
+def test_aux_product_rule_with_mixed_denominators():
+    # a = (1/2, 2/3, -3/4, 5/6) is not a representation on n4: every pair fails,
+    # with values over nine denominators from 2 to 36
+    e = get("n4")
+    nabla = affine_from_symplectic(e.algebra, e.symplectic_form)
+    lift = LiftData.half_cocycle(e.symplectic_form,
+                                 [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4), Fraction(5, 6)])
+    got = theorem_verdict(central_extend(e.algebra, e.symplectic_form), nabla, lift)
+    want = ref.aux_product_rule(nabla, lift)
+    assert len(want) == 16 and len({v.denominator for _, v in want}) > 3
+    assert_same_defects(got.aux_witnesses, want)
