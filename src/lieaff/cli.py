@@ -311,7 +311,7 @@ def cmd_extend(args) -> int:
         raise CommandError(EXIT_USAGE,
                            f"2-form is not closed (first defect at triple "
                            f"{one_based(defects[0][0])}); the extension would violate Jacobi")
-    ext = _usage(central_extend, algebra, theta)
+    ext = _usage(central_extend, algebra, theta, assume_closed=True)
     payload = {
         "command": "extend",
         "extension": fileio.algebra_to_dict(ext.extended),

@@ -61,8 +61,8 @@ from .structures import (
     contact_test,
     curvature,
     defining_relation_defects,
+    gram_rank,
     integer_columns,
-    symplectic_check,
     torsion_defects,
     verify_affine,
 )
@@ -106,9 +106,17 @@ def _require_closed(algebra: LieAlgebra, theta: KForm) -> None:
         )
 
 
-def central_extend(algebra: LieAlgebra, theta: KForm) -> CentralExtension:
-    """Extend by the closed 2-form theta; the new last basis vector is central."""
-    _require_closed(algebra, theta)
+def central_extend(algebra: LieAlgebra, theta: KForm, *,
+                   assume_closed: bool = False) -> CentralExtension:
+    """Extend by the closed 2-form theta; the new last basis vector is central.
+
+    theta is scanned for closedness first, unless the caller has just done so
+    (assume_closed=True).  For an even-dimensional base the extension is read
+    back: when theta is nondegenerate and the base nilpotent, the center must
+    be spanned by the new vector and its dual must be a contact form.
+    """
+    if not assume_closed:
+        _require_closed(algebra, theta)
     n = algebra.dim
     constants = {}
     for i in range(n):
@@ -130,8 +138,7 @@ def central_extend(algebra: LieAlgebra, theta: KForm) -> CentralExtension:
 
     ext = CentralExtension(algebra, theta, extended)
     if n % 2 == 0:
-        sym = symplectic_check(algebra, theta)
-        if sym.is_symplectic and algebra.is_nilpotent():
+        if gram_rank(theta) == n and algebra.is_nilpotent():
             zc = extended.center()
             if zc.dim != 1 or zc.basis[0] != extended.basis_vector(n):
                 raise AssertionError("extension center is not spanned by the new vector")
@@ -697,7 +704,8 @@ def _solve_lift(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a) -> Li
     the particular plus each basis direction, in that order.
 
     The lift tables are built once and handed to each point's theorem_verdict;
-    the extension is built once, and only when the system is feasible.
+    the extension is built once, and only when the system is feasible.  The
+    callers have checked that theta is closed.
     """
     n = base.dim
     tables = _lift_tables(base, theta, nabla, a)
@@ -705,7 +713,7 @@ def _solve_lift(base: LieAlgebra, theta: KForm, nabla: BilinearProduct, a) -> Li
     solution, index = _solve_phi_system(gram, operator)
     if solution.infeasible:
         return LiftSolveResult(False, -1, None, [], [], [])
-    ext = central_extend(base, theta)
+    ext = central_extend(base, theta, assume_closed=True)
     half = LiftData.half_cocycle(theta, a)
     particular, kernel = solution.particular, solution.kernel
     points = []

@@ -10,16 +10,23 @@ Python ints, freely mixed: the solvers (solve_linear, kernel_basis, rank,
 invert, echelon_basis) accept both, in the matrix and in a right-hand side,
 and always return Fractions.  A caller that has already scaled its rows to
 integers builds the Matrix from them directly and skips the conversion.
-Elimination runs in Python ints, fraction-free: each row is scaled to
-integers by the lcm of its denominators (scale_to_integers), columns are
-cleared by cross-multiplication with each new row divided by the gcd of its
-entries, and only the pivot rows are turned back into Fractions, once, at
-the end.  The pivot rule is deterministic: the first nonzero entry in scan
-order.  Every integer row is a nonzero multiple of the row Gauss-Jordan
-elimination over Q would hold at the same step, so the pivots are the same,
-and since the reduced row echelon form is unique the pivot rows, hence
-kernels, particular solutions, ranks, inverses and echelon bases, are
-exactly those of elimination over Q.
+
+Elimination (_rref) is sparse and fraction-free.  Each row is scaled to
+integers by the lcm of its denominators and kept as a {column: int} dict of
+its nonzero entries; zero rows are dropped.  The lift systems are sparse
+(4 to 10 nonzeros in a row of 37, many zero and duplicate rows), so only the
+rows with an entry in the pivot column are updated, by cross-multiplication
+over the pivot row's nonzero entries, each new row divided by the gcd of its
+entries; only the pivot rows are turned back into Fractions, once, at the
+end.  The pivot column is the leftmost column where a remaining row is
+nonzero; the pivot row is the remaining row with the fewest nonzero entries
+there (the lowest index on a tie): a deterministic, Markowitz-style choice
+that keeps fill-in down.  Which row is picked changes no result: the pivot
+columns are the columns where the rank of the leading column block grows,
+which no row operation changes, and the reduced row echelon form of a matrix
+is unique.  So pivots and reduced rows, hence kernels, particular solutions,
+ranks, infeasibility verdicts, inverses and echelon bases, are exactly those
+of Gauss-Jordan elimination over Q.
 """
 
 from __future__ import annotations
@@ -186,71 +193,111 @@ class Matrix:
         return out
 
 
-def _clear_column(work: list, k: int, c: int, targets) -> None:
-    """Clear column c of the integer rows work[i], i in targets, with pivot row k.
+def _eliminate(row: dict, lead: dict, c: int, p: int) -> dict:
+    """Clear column c of the sparse integer row with the pivot row lead, in place.
 
-    Each row becomes p' * row - f' * lead, where p'/f' is the reduced ratio of
-    the pivot to the row's entry in column c, and is then divided by the gcd of
-    its entries.  The pivot row is zero left of c, so only its nonzero entries
-    right of c are visited.
+    The row becomes p' * row - f' * lead, where p'/f' is the reduced ratio of
+    p = lead[c] to row[c], and is then divided by the gcd of its entries.
+    Only the lead row's nonzero entries are visited and entries that cancel
+    are removed, column c among them: the row comes back empty exactly when
+    it became zero.
     """
-    lead = work[k]
-    p = lead[c]
-    nonzero = [j for j in range(c + 1, len(lead)) if lead[j]]
-    for i in targets:
-        row = work[i]
-        f = row[c]
-        if not f:
-            continue
-        g = gcd(p, f)
-        scale, f = p // g, f // g
-        if scale != 1:
-            row = [scale * x for x in row]
-        row[c] = 0
-        for j in nonzero:
-            row[j] -= f * lead[j]
-        g = gcd(*row)
-        work[i] = [x // g for x in row] if g > 1 else row
+    f = row[c]
+    g = gcd(p, f)
+    s, f = p // g, f // g
+    if s != 1:
+        for j in row:
+            row[j] *= s
+    get = row.get
+    for j, y in lead.items():
+        x = get(j, 0) - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    if row:
+        g = gcd(*row.values())
+        if g > 1:
+            for j in row:
+                row[j] //= g
+    return row
 
 
 def _rref(work: list, limit: int) -> list:
-    """Reduced row echelon form over columns [0, limit), by integer elimination.
+    """Reduced row echelon form over columns [0, limit), by sparse integer elimination.
 
     Each row, of Fractions or ints, is scaled to integers by the lcm of its
-    denominators.  Forward elimination picks as pivot the first nonzero entry
-    scanning rows top-down within the leftmost eligible column, so the result
-    is deterministic, and clears the column below it in integers;
-    back-substitution clears it above in the pivot rows only.  On return the
-    first rank rows are the reduced rows as Fractions, pivots normalized to 1,
-    over every column of work (columns from limit on are carried along, as for
-    an augmented system).  Rows from rank on are nonzero integer multiples of
-    what Gauss-Jordan elimination over Q would leave there; only whether an
-    entry is zero is meaningful.  Returns the list of pivot columns.
+    denominators and kept as a {column: int} dict of its nonzero entries;
+    zero rows are dropped.  The pivot column is the leftmost column in
+    [0, limit) where a remaining row is nonzero.  The pivot row is, among the
+    remaining rows nonzero there, the one with the fewest nonzero entries,
+    the lowest original index on a tie; it leaves the remaining rows, and
+    only the rows nonzero in the pivot column are updated (_eliminate), a row
+    that becomes zero being dropped.  Back-substitution clears each pivot
+    column above its pivot in the pivot rows only.
+
+    The pivot columns are where the rank of the leading column block grows,
+    which no row operation changes, and the reduced row echelon form is
+    unique, so pivots and reduced rows are those of Gauss-Jordan elimination
+    over Q with any pivot rule.  On return the first rank rows of work are
+    the reduced rows as Fractions, pivots normalized to 1, in pivot-column
+    order, over every column of work (columns from limit on are carried
+    along, as for an augmented system).  Rows from rank on are dense integer
+    rows, zero in [0, limit): the remaining nonzero rows, then zero rows; only
+    whether an entry is zero is meaningful.  Returns the list of pivot
+    columns.
     """
     m = len(work)
-    for i, row in enumerate(work):
-        work[i] = scale_to_integers(row)[0]
-    pivots = []
-    r = 0
-    for c in range(limit):
-        prow = None
-        for i in range(r, m):
-            if work[i][c]:
-                prow = i
-                break
-        if prow is None:
+    if not m:
+        return []
+    width = len(work[0])
+    rows = []
+    for row in work:
+        sparse = {j: x for j, x in enumerate(row) if x}
+        if not sparse:
             continue
-        work[r], work[prow] = work[prow], work[r]
-        _clear_column(work, r, c, range(r + 1, m))
+        if any(type(x) is not int for x in sparse.values()):
+            den = lcm(*[x.denominator for x in sparse.values()])
+            sparse = {j: x.numerator * (den // x.denominator) for j, x in sparse.items()}
+        rows.append(sparse)
+    pivots, leads = [], []
+    for c in range(limit):
+        hits = [row for row in rows if c in row]
+        if not hits:
+            continue
+        lead = min(hits, key=len)
+        p = lead[c]
+        rest = []
+        for row in rows:
+            if c in row:
+                if row is lead:
+                    continue
+                row = _eliminate(row, lead, c, p)
+                if not row:
+                    continue
+            rest.append(row)
+        rows = rest
         pivots.append(c)
-        r += 1
-        if r == m:
+        leads.append(lead)
+        if not rows:
             break
-    for k in range(r - 1, 0, -1):
-        _clear_column(work, k, pivots[k], range(k))
-    for k, c in enumerate(pivots):
-        p = work[k][c]
-        work[k] = [Fraction(x, p) for x in work[k]]
+    for k in range(len(leads) - 1, 0, -1):
+        c, lead = pivots[k], leads[k]
+        p = lead[c]
+        for i in range(k):
+            if c in leads[i]:
+                leads[i] = _eliminate(leads[i], lead, c, p)
+    for k, (c, lead) in enumerate(zip(pivots, leads)):
+        p = lead[c]
+        row = [ZERO] * width
+        for j, x in lead.items():
+            row[j] = Fraction(x, p)
+        work[k] = row
+    for i in range(len(pivots), m):
+        work[i] = [0] * width
+    for i, sparse in enumerate(rows, len(pivots)):
+        for j, x in sparse.items():
+            work[i][j] = x
     return pivots
 
 

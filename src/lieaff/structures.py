@@ -226,14 +226,20 @@ class SymplecticReport:
         return self.nondegenerate and self.closed
 
 
+def gram_rank(theta: KForm) -> int:
+    """Rank of the Gram matrix of the 2-form theta; theta is nondegenerate when it is theta.dim."""
+    n = theta.dim
+    gram, _ = integer_gram(theta)
+    return matrix_rank(Matrix(n, n, tuple(g for row in gram for g in row)))
+
+
 def symplectic_check(algebra: LieAlgebra, theta: KForm) -> SymplecticReport:
     n = algebra.dim
     if n % 2 != 0:
         raise ValueError("symplectic check needs even dimension")
     if theta.degree != 2 or theta.dim != n:
         raise ValueError("need a 2-form on the algebra")
-    gram, _ = integer_gram(theta)
-    rk = matrix_rank(Matrix(n, n, tuple(g for row in gram for g in row)))
+    rk = gram_rank(theta)
     defects = cocycle_defects(algebra, theta)
     return SymplecticReport(rk == n, not defects, rk, defects)
 

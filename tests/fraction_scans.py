@@ -3,9 +3,15 @@
 Each routine evaluates its definition term by term through LieAlgebra.bracket,
 BilinearProduct.apply and BilinearProduct.value on basis vectors, with no shared kernel and no
 common denominator.
+
+dense_rref is the dense integer elimination ratlin._rref replaced: the first nonzero
+entry top-down in the leftmost eligible column as pivot, every row below cleared over all
+its entries.  It keeps _rref's signature and contract, so the solvers run on it when it is
+patched in as ratlin._rref.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from lieaff.liecore import CentralQuotient, KForm, LieAlgebra, Subspace
 from lieaff.ratlin import (
@@ -16,6 +22,7 @@ from lieaff.ratlin import (
     invert,
     is_zero_vector,
     kernel_basis,
+    scale_to_integers,
     vadd,
     vscale,
     vsub,
@@ -253,3 +260,53 @@ def aux_product_rule(nabla, lift):
             if val:
                 out.append(((i, j), val))
     return out
+
+
+def clear_column(work, k, c, targets):
+    """Clear column c of the dense integer rows work[i], i in targets, with pivot row k."""
+    lead = work[k]
+    p = lead[c]
+    nonzero = [j for j in range(c + 1, len(lead)) if lead[j]]
+    for i in targets:
+        row = work[i]
+        f = row[c]
+        if not f:
+            continue
+        g = gcd(p, f)
+        scale, f = p // g, f // g
+        if scale != 1:
+            row = [scale * x for x in row]
+        row[c] = 0
+        for j in nonzero:
+            row[j] -= f * lead[j]
+        g = gcd(*row)
+        work[i] = [x // g for x in row] if g > 1 else row
+
+
+def dense_rref(work, limit):
+    """Reduced row echelon form over columns [0, limit) by dense integer elimination.
+
+    The first rank rows become the reduced rows as Fractions; rows from rank on are
+    integer rows, zero in [0, limit).  Returns the pivot columns.
+    """
+    m = len(work)
+    for i, row in enumerate(work):
+        work[i] = scale_to_integers(row)[0]
+    pivots = []
+    r = 0
+    for c in range(limit):
+        prow = next((i for i in range(r, m) if work[i][c]), None)
+        if prow is None:
+            continue
+        work[r], work[prow] = work[prow], work[r]
+        clear_column(work, r, c, range(r + 1, m))
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for k in range(r - 1, 0, -1):
+        clear_column(work, k, pivots[k], range(k))
+    for k, c in enumerate(pivots):
+        p = work[k][c]
+        work[k] = [Fraction(x, p) for x in work[k]]
+    return pivots

@@ -13,6 +13,8 @@ from lieaff.cli import main
 from lieaff.extension import LiftData
 from lieaff.liecore import KForm, LieAlgebra
 
+from test_extension import count_closedness_scans
+
 FLOAT_RE = re.compile(r"\d\.\d")
 
 
@@ -438,6 +440,14 @@ def test_extend_runs_one_contact_test(capsys, files, tmp_path, monkeypatch, coef
     monkeypatch.setattr(extension, "contact_test", counted)
     monkeypatch.setattr(cli, "contact_test", counted)
     assert run(capsys, "extend", files["r2"], "--symplectic", str(form))[0] == code
+    assert len(calls) == 1
+
+
+def test_extend_scans_closedness_once(capsys, files, monkeypatch):
+    # the command's own check, with its 1-based triple, is the only scan;
+    # central_extend is told the form is closed
+    calls = count_closedness_scans(monkeypatch)
+    assert run(capsys, "extend", files["r4"], "--symplectic", files["r4.theta"])[0] == 0
     assert len(calls) == 1
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieaff import extension
+from lieaff import cli, extension, liecore, structures
 from lieaff.catalog import contact_entries, get, symplectic_entries
 from lieaff.extension import (
     LiftData,
@@ -820,3 +820,31 @@ def test_one_readback_and_one_operator_per_solve(monkeypatch):
         feasible += res.feasible
         infeasible += not res.feasible
     assert feasible and infeasible
+
+
+def count_closedness_scans(monkeypatch):
+    """The list of cocycle_defects calls from now on, at every module that calls it."""
+    calls = []
+    original = liecore.cocycle_defects
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (liecore, structures, extension, cli):
+        monkeypatch.setattr(module, "cocycle_defects", counted)
+    return calls
+
+
+def test_one_closedness_scan_per_solve_and_extension(monkeypatch):
+    r4, r4_theta, r4_nabla, _ = base_data("r4")
+    r2, r2_theta, r2_nabla, _ = base_data("r2")
+    calls = count_closedness_scans(monkeypatch)
+    assert solve_lift_trivial(r4, r4_theta, r4_nabla).feasible
+    assert len(calls) == 1
+    calls.clear()
+    assert solve_lift_with_alpha(r2, r2_theta, r2_nabla, [1, 0]).feasible
+    assert len(calls) == 1
+    calls.clear()
+    assert central_extend(r4, r4_theta).contact.is_contact
+    assert len(calls) == 1

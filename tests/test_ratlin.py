@@ -1,11 +1,18 @@
 """Exact rational parsing and the deterministic linear solver."""
 
+import importlib.util
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_scans as ref
+import lieaff
+from lieaff import extension, ratlin
 from lieaff.ratlin import (
     Matrix,
     _rref,
@@ -253,3 +260,188 @@ def test_integer_rows_solve_like_fraction_rows(a, data):
     assert (got.particular, got.kernel, got.rank) == (want.particular, want.kernel, want.rank)
     outputs = (got.particular or []) + [x for v in got.kernel for x in v]
     assert all(type(x) is Fraction for x in outputs)
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination against the dense one it replaced and sympy: tall
+# sparse systems like the lift solvers' phi systems (zero rows, duplicate and
+# scaled duplicate rows, mixed denominators, an augmented column)
+
+def dense(fn, *args):
+    """fn(*args) with the dense elimination as ratlin._rref."""
+    with mock.patch.object(ratlin, "_rref", ref.dense_rref):
+        return fn(*args)
+
+
+def random_entry(rng):
+    if rng.random() < 0.5:
+        return Fraction(rng.choice([x for x in range(-30, 31) if x]))
+    return Fraction(rng.choice([x for x in range(-40, 41) if x]), rng.randint(2, 12))
+
+
+@st.composite
+def sparse_rows(draw, max_rows=40, max_cols=12):
+    """Tall sparse rows at 10-30 % density, with zero, duplicate and scaled rows mixed in."""
+    rng = draw(st.randoms(use_true_random=False))
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    density = draw(st.sampled_from([0.1, 0.2, 0.3]))
+    rows = []
+    for _ in range(m):
+        kind = rng.choice(["fresh"] * 4 + ["zero", "duplicate", "scaled", "combo"]) if rows \
+            else "fresh"
+        if kind == "zero":
+            row = [Fraction(0)] * n
+        elif kind == "duplicate":
+            row = list(rng.choice(rows))
+        elif kind == "scaled":
+            s = random_entry(rng)
+            row = [s * x for x in rng.choice(rows)]
+        elif kind == "combo":
+            s, t = random_entry(rng), random_entry(rng)
+            row = [s * x + t * y for x, y in zip(rng.choice(rows), rng.choice(rows))]
+        else:
+            row = [random_entry(rng) if rng.random() < density else Fraction(0)
+                   for _ in range(n)]
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def sparse_systems(draw):
+    """(A, b): b = A x0 for a feasible system, else a sparse b, mostly infeasible."""
+    a = Matrix.from_rows(draw(sparse_rows()))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        x0 = [random_entry(rng) if rng.random() < 0.5 else Fraction(0) for _ in range(a.cols)]
+        b = a.mul_vec(x0)
+    else:
+        b = [random_entry(rng) if rng.random() < 0.3 else Fraction(0) for _ in range(a.rows)]
+    return a, b
+
+
+def sympy_solution(a, b):
+    """(particular, kernel, rank) read off sympy's rref of [A | b] and nullspace of A."""
+    reduced, pivots = _sympy(a, b).rref()
+    kernel = _fractions(_sympy(a).nullspace())
+    if a.cols in pivots:
+        return None, kernel, len(pivots) - 1
+    x = [Fraction(0)] * a.cols
+    for r, c in enumerate(pivots):
+        x[c] = Fraction(int(reduced[r, a.cols].p), int(reduced[r, a.cols].q))
+    return x, kernel, len(pivots)
+
+
+def as_tuple(sol):
+    return sol.particular, sol.kernel, sol.rank
+
+
+def test_pivot_row_rule_and_write_back():
+    # column 0: rows 2 and 3 have the fewest nonzeros, row 2 the lower index;
+    # rows 0 and 3 are updated and divided by the gcd, the zero row 1 is dropped
+    work = [[2, 2, 2], [0, 0, 0], [4, 0, 6], [2, 0, 2], [0, 0, 4]]
+    assert _rref(work, 2) == [0, 1]
+    reduced = [[Fraction(1), Fraction(0), Fraction(3, 2)],
+               [Fraction(0), Fraction(1), Fraction(-1, 2)]]
+    assert work == reduced + [[0, 0, -1], [0, 0, 4], [0, 0, 0]]
+    assert all(type(x) is Fraction for row in work[:2] for x in row)
+    assert all(type(x) is int for row in work[2:] for x in row)
+
+
+@given(sparse_systems())
+@settings(deadline=None, max_examples=80)
+def test_rref_of_augmented_system_matches_dense_and_sympy(system):
+    a, b = system
+    rows = [row + [x] for row, x in zip(a.to_rows(), b)]
+    sparse_work, dense_work = [list(r) for r in rows], [list(r) for r in rows]
+    pivots = _rref(sparse_work, a.cols)
+    assert pivots == ref.dense_rref(dense_work, a.cols)
+    rk = len(pivots)
+    feasible = not any(row[a.cols] for row in dense_work[rk:])
+    # the augmented column of the reduced rows is the particular solution when
+    # the system is feasible; otherwise it depends on the rows eliminated
+    width = a.cols + 1 if feasible else a.cols
+    assert [row[:width] for row in sparse_work[:rk]] == [row[:width] for row in dense_work[:rk]]
+    assert len(sparse_work) == len(rows)
+    reduced, sym_pivots = _sympy(a).rref()
+    assert tuple(pivots) == tuple(sym_pivots)
+    assert [row[:a.cols] for row in sparse_work[:rk]] == _fractions(reduced.tolist()[:rk])
+    assert all(type(x) is Fraction for row in sparse_work[:rk] for x in row)
+    # rows from rank on: zero left of the augmented column, nonzero in it
+    # exactly when the system is infeasible
+    assert all(x == 0 for row in sparse_work[rk:] for x in row[:a.cols])
+    assert any(row[a.cols] for row in sparse_work[rk:]) == (not feasible)
+
+
+@given(sparse_systems())
+@settings(deadline=None, max_examples=80)
+def test_linear_solution_matches_dense_and_sympy(system):
+    a, b = system
+    got = solve_linear(a, b)
+    assert as_tuple(got) == as_tuple(dense(solve_linear, a, b))
+    assert as_tuple(got) == sympy_solution(a, b)
+    outputs = (got.particular or []) + [x for v in got.kernel for x in v]
+    assert all(type(x) is Fraction for x in outputs)
+
+
+@given(sparse_rows())
+@settings(deadline=None, max_examples=60)
+def test_kernel_and_echelon_basis_match_dense(rows):
+    a = Matrix.from_rows(rows)
+    assert kernel_basis(a) == dense(kernel_basis, a)
+    assert echelon_basis(rows, a.cols) == dense(echelon_basis, rows, a.cols)
+
+
+@given(st.integers(1, 10), st.randoms(use_true_random=False),
+       st.sampled_from([0.1, 0.2, 0.3]))
+@settings(deadline=None, max_examples=60)
+def test_invert_matches_dense_and_sympy(n, rng, density):
+    # a sparse matrix with most of its diagonal set, so that many are invertible
+    rows = [[random_entry(rng) if (i == j and rng.random() < 0.9) or rng.random() < density
+             else Fraction(0) for j in range(n)] for i in range(n)]
+    a = Matrix.from_rows(rows)
+    m = _sympy(a)
+    if m.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            invert(a)
+        with pytest.raises(ValueError, match="singular"):
+            dense(invert, a)
+    else:
+        got = invert(a)
+        assert got == dense(invert, a)
+        assert got.to_rows() == _fractions(m.inv().tolist())
+
+
+def bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while it runs
+    with mock.patch.dict(sys.modules, {"bench_inputs": module}):
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pool_phi_systems_solve_alike():
+    # the lift-solve pool: trivial case plus three seeded one-dimensional
+    # representations per base; each phi system is solved with both eliminations
+    inputs = bench_inputs()
+    solved = []
+
+    def both(a, b):
+        got = solve_linear(a, b)
+        assert as_tuple(got) == as_tuple(dense(solve_linear, a, b))
+        solved.append(got.infeasible)
+        return got
+
+    with mock.patch.object(extension, "solve_linear", both):
+        for dim in (6, 8):
+            for index in range(6):
+                base = inputs.symplectic_base(0, dim, index)
+                lieaff.solve_lift_trivial(base.algebra, base.theta, base.nabla)
+                for seed in (1, 2, 3):
+                    alpha = inputs.one_dim_rep(inputs.rng_for(seed, "alpha", dim, index),
+                                               base.algebra)
+                    lieaff.solve_lift_with_alpha(base.algebra, base.theta, base.nabla, alpha)
+    assert len(solved) == 48
+    assert any(solved) and not all(solved)
